@@ -42,9 +42,9 @@ bench:
 # parallel case asserts jobs=2 output is identical to serial at every
 # size; bench_verify asserts hier extraction is LVS-identical to flat;
 # bench_batch asserts every numpy batch pass (scanline_vec, drc_vec,
-# merge_vec, extract_vec, verify_extract_vec) matches its interpreted
-# oracle output exactly (the >= 3x speedup guards run at full sizes
-# via `make bench`).
+# merge_vec, extract_vec, verify_extract_vec, alignment_pairs_vec)
+# matches its oracle output exactly (the >= 3x speedup guards, >= 10x
+# for alignment_pairs_vec, run at full sizes via `make bench`).
 # BENCH_compaction.json is written here too (at the smoke
 # sizes) so CI can upload the trajectory per run.
 bench-smoke:

@@ -16,7 +16,11 @@ carries the CI guards:
   sweep on the never-expiring trunk workload;
 * ``verify_extract_vec`` — the ``_sweep_batch`` mask walk of
   :func:`repro.verify.extract.extract_netlist` versus the interpreted
-  ``_sweep_python`` walk on a generated PLA.
+  ``_sweep_python`` walk on a generated PLA;
+* ``alignment_pairs_vec`` — the sorted-window join behind
+  :func:`repro.compact.alignment_pairs` versus the quadratic scan kept
+  as its oracle in ``tests/test_sweep_equivalence.py``, on the flat
+  boxes of a generated PLA (>= 10x floor).
 
 Each comparison asserts output equality first, then enforces the >= 3x
 speedup outside smoke mode (``REPRO_BENCH_SMOKE=1`` runs small sizes
@@ -27,7 +31,9 @@ builds.
 """
 
 import os
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +52,10 @@ from repro.route.extract import wire_components_batch, wire_components_python
 from repro.route.style import RouteStyle
 
 from bench_sweep import random_layers, trunk_layers
+
+# The alignment-pairs oracle lives beside the equivalence tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from test_sweep_equivalence import alignment_pairs_oracle  # noqa: E402
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -222,4 +232,41 @@ def _impl_verify_extract_vec(report, record):
 def test_verify_extract_vec(benchmark, report, record):
     benchmark.pedantic(
         lambda: _impl_verify_extract_vec(report, record), rounds=1, iterations=1
+    )
+
+
+def _impl_alignment_pairs_vec(report, record):
+    from bench_verify import plane_table
+
+    from repro.compact import alignment_pairs
+    from repro.layout import flatten_cell
+    from repro.pla import generate_pla
+
+    size = 4 if SMOKE else 12
+    layout = flatten_cell(generate_pla(plane_table(size, size, size)))
+    _, boxes = build_edge_variables(
+        [(layer, box) for layer, items in sorted(layout.layers.items())
+         for box in items]
+    )
+    got = alignment_pairs(boxes)
+    expected = alignment_pairs_oracle(boxes)
+    assert [(id(a), id(b)) for a, b in got] == [
+        (id(a), id(b)) for a, b in expected
+    ]
+    compare_kernel(
+        report,
+        record,
+        "alignment_pairs_vec",
+        len(boxes),
+        lambda: alignment_pairs(boxes),
+        lambda: alignment_pairs_oracle(boxes),
+        min_ratio=10.0,
+        smoke=SMOKE,
+        repeats=5,
+    )
+
+
+def test_alignment_pairs_vec(benchmark, report, record):
+    benchmark.pedantic(
+        lambda: _impl_alignment_pairs_vec(report, record), rounds=1, iterations=1
     )

@@ -26,7 +26,6 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..core.cell import CellDefinition
 from ..core.errors import CompactionError, InfeasibleConstraintsError
@@ -280,6 +279,10 @@ class LeafCellCompactor:
             cached = cache.get(key)
             if cached is not None:
                 return cached
+        # Deferred: scipy costs most of the package import time, and only
+        # this LP and the rubber-band pass need it.
+        from scipy.optimize import linprog
+
         variables = self.system.variables
         pitches = self.system.pitches
         index = {name: position for position, name in enumerate(variables)}

@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..core.errors import InfeasibleConstraintsError
+from ..geometry import batch
 from .constraints import ConstraintSystem, Variable
 from .scanline import CompactionBox
 
@@ -30,13 +30,27 @@ __all__ = ["alignment_pairs", "rubber_band_solve", "misalignment"]
 def alignment_pairs(
     boxes: Sequence[CompactionBox],
 ) -> List[Tuple[CompactionBox, CompactionBox]]:
-    """Pairs of drawn-connected boxes whose centres want to align."""
-    pairs = []
-    for i, a in enumerate(boxes):
-        for b in boxes[i + 1:]:
-            if a.layer == b.layer and a.box.overlaps(b.box):
-                pairs.append((a, b))
-    return pairs
+    """Pairs of drawn-connected boxes whose centres want to align.
+
+    Every pair of same-layer boxes whose closed rectangles overlap
+    (edge and corner contact included), as ``(boxes[i], boxes[j])``
+    with ``i < j``, ordered by ``(i, j)``.  The pairs come from the
+    sorted-window join :func:`repro.geometry.batch.box_overlap_pairs`,
+    so the cost is ``O(n log n)`` plus the same-layer x-overlapping
+    candidates rather than all ``n²/2`` pairs.
+    """
+    codes: Dict[str, int] = {}
+    layers = np.fromiter(
+        (codes.setdefault(item.layer, len(codes)) for item in boxes),
+        dtype=np.int64,
+        count=len(boxes),
+    )
+    first, second = batch.box_overlap_pairs(
+        batch.boxes_to_arrays([item.box for item in boxes]), layers
+    )
+    return [
+        (boxes[i], boxes[j]) for i, j in zip(first.tolist(), second.tolist())
+    ]
 
 
 def misalignment(
@@ -81,6 +95,9 @@ def rubber_band_solve(
         )
     if pairs is None:
         pairs = alignment_pairs(boxes)
+    # Deferred: scipy costs most of the package import time, and only
+    # this pass and the leaf-cell LP need it.
+    from scipy.optimize import linprog
 
     index = {name: i for i, name in enumerate(system.variables)}
     num_x = len(system.variables)

@@ -25,6 +25,9 @@ default, ``python`` to force the interpreted kernel) — the same
 results are *identical*, not merely equivalent: the same constraint
 multisets, merged boxes, violation multisets, and extracted components,
 enforced by ``tests/test_sweep_equivalence.py`` under both kernels.
+The exception is :func:`box_overlap_pairs` (the rubber-band alignment
+pairs): it is the only production build, with no switch, and its
+quadratic oracle lives in that test file.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "merge_boxes_batch",
     "visible_pairs",
     "overlap_pairs",
+    "box_overlap_pairs",
     "expand_ranges",
     "runs_intersect",
     "runs_subtract",
@@ -431,6 +435,49 @@ def overlap_pairs(slab_a, a0, a1, slab_b, b0, b1, closed=False):
         lo = np.searchsorted(b_end, key_a0, side="right")
         hi = np.searchsorted(b_start, key_a1, side="left")
     return expand_ranges(lo, hi)
+
+
+def box_overlap_pairs(arrays: BoxArray, groups):
+    """Index pairs ``i < j`` of same-group boxes whose closed rectangles
+    overlap, sorted by ``(i, j)``.
+
+    A sorted-window join: order the boxes by ``(group, xmin)``; every
+    box after ``a`` in that order with ``xmin <= a.xmax`` in ``a``'s
+    group is an x-overlap candidate, so one ``searchsorted`` probe with
+    ``(group, a.xmax)`` bounds ``a``'s window and :func:`expand_ranges`
+    lists the candidates.  A closed y-interval test keeps the real
+    overlaps.  Each unordered pair is visited once (from whichever box
+    sorts first), so the cost is ``O(n log n)`` plus the number of
+    same-group x-overlapping candidates.  Edge and corner contact
+    counts as overlap, matching :meth:`Box.overlaps`; boxes must be
+    normalised (``xmin <= xmax``, ``ymin <= ymax``).
+    """
+    np = require_numpy()
+    count = len(arrays)
+    empty = np.empty(0, dtype=np.int64)
+    if count < 2:
+        return empty, empty
+    xmin, xmax = arrays.xmin, arrays.xmax
+    base = int(xmin.min())
+    span = int(xmax.max()) - base + 1
+    if (int(groups.max()) + 1) * span >= 2**62:
+        # Rank the coordinates so the composite keys cannot overflow.
+        ranks = np.unique(np.concatenate([xmin, xmax]), return_inverse=True)[1]
+        xmin, xmax = ranks[:count], ranks[count:]
+        base, span = 0, 2 * count
+    offsets = groups * np.int64(span) - base
+    keys = offsets + xmin
+    order = np.argsort(keys)
+    hi = np.searchsorted(keys[order], (offsets + xmax)[order], side="right")
+    first, second = expand_ranges(np.arange(1, count + 1, dtype=np.int64), hi)
+    first, second = order[first], order[second]
+    keep = (arrays.ymin[first] <= arrays.ymax[second]) & (
+        arrays.ymin[second] <= arrays.ymax[first]
+    )
+    low = np.minimum(first[keep], second[keep])
+    high = np.maximum(first[keep], second[keep])
+    codes = np.sort(low * np.int64(count) + high)
+    return codes // np.int64(count), codes % np.int64(count)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tests for the command-line driver (the Figure 1.1 flow)."""
 
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -705,3 +708,18 @@ class TestTimingsFlag:
             assert main([str(parameter)]) == 0
             outputs[value] = capsys.readouterr().out
         assert outputs["0"] == outputs["1"]
+
+
+def test_entry_points_do_not_import_scipy():
+    """scipy is most of the package's import time and only the two LP
+    passes use it, so the CLI and the service load it on first solve."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import repro.cli, repro.service\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

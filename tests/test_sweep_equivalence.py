@@ -16,6 +16,12 @@ second half of this file holds the batch half of the contract: the
 same case matrix driven through ``*_batch`` versus ``*_python``, the
 degenerate layouts (empty, single box, all-overlapping), the batch
 primitives, and the kernel-selection switch itself.
+
+The rubber-band alignment pairs (:func:`repro.compact.alignment_pairs`)
+have a single production build, the batch sorted-window join; its
+oracle is the quadratic scan kept here as
+:func:`alignment_pairs_oracle`, and the contract is the *same list*:
+same pairs, same order, same objects.
 """
 
 import random
@@ -27,9 +33,11 @@ from repro.compact import (
     TECH_A,
     TECH_B,
     add_width_constraints,
+    alignment_pairs,
     build_edge_variables,
     check_layout,
     check_layout_reference,
+    rebuild_boxes,
     solve_longest_path,
     visibility_constraints,
     visibility_constraints_reference,
@@ -97,6 +105,26 @@ def random_pairs(seed, n, spread):
             )
         )
     return pairs
+
+
+def alignment_pairs_oracle(boxes):
+    """The all-pairs scan :func:`alignment_pairs` must reproduce exactly."""
+    pairs = []
+    for i, a in enumerate(boxes):
+        for b in boxes[i + 1:]:
+            if a.layer == b.layer and a.box.overlaps(b.box):
+                pairs.append((a, b))
+    return pairs
+
+
+def assert_same_alignment_pairs(boxes):
+    """Same pairs, in the same order, holding the same objects."""
+    got = alignment_pairs(boxes)
+    expected = alignment_pairs_oracle(boxes)
+    assert len(got) == len(expected)
+    for (a, b), (c, d) in zip(got, expected):
+        assert a is c and b is d
+    return got
 
 
 def constraint_multiset(system):
@@ -361,6 +389,91 @@ class TestBatchEquivalence:
     def test_merge_boxes_identical_geometry(self, seed, n, spread, rules):
         boxes = [box for _, box in random_pairs(seed, n, spread)]
         assert merge_boxes_batch(boxes) == merge_boxes_python(boxes)
+
+
+@pytest.mark.parametrize("seed,n,spread", CASES)
+@pytest.mark.parametrize("rules", [TECH_A, TECH_B], ids=lambda r: r.name)
+def test_alignment_pairs_match_oracle(seed, n, spread, rules):
+    """Drawn geometry, then the geometry this tech's solve packs it to."""
+    pairs = random_pairs(seed, n, spread)
+    system, boxes = build_edge_variables(pairs)
+    assert_same_alignment_pairs(boxes)
+    visibility_constraints(system, boxes, rules)
+    add_width_constraints(system, boxes, rules, mode="min")
+    solution = solve_longest_path(system).solution
+    _, packed = build_edge_variables(rebuild_boxes(boxes, solution))
+    assert_same_alignment_pairs(packed)
+
+
+class TestAlignmentPairsEdgeCases:
+    def pairs_of(self, layered):
+        _, boxes = build_edge_variables(layered)
+        index = {id(box): position for position, box in enumerate(boxes)}
+        return [
+            (index[id(a)], index[id(b)])
+            for a, b in assert_same_alignment_pairs(boxes)
+        ]
+
+    def test_empty_and_single_box(self):
+        assert self.pairs_of([]) == []
+        assert self.pairs_of([("metal1", Box(0, 0, 4, 4))]) == []
+
+    def test_edge_and_corner_contact_pair(self):
+        # The overlap test is closed: sharing an edge or a corner connects.
+        assert self.pairs_of(
+            [
+                ("metal1", Box(0, 0, 4, 4)),
+                ("metal1", Box(4, 0, 8, 4)),  # shares the x = 4 edge
+                ("metal1", Box(8, 4, 12, 8)),  # touches box 1 at a corner
+                ("metal1", Box(13, 0, 16, 4)),  # one unit clear of box 2
+            ]
+        ) == [(0, 1), (1, 2)]
+
+    def test_zero_width_and_zero_height_boxes(self):
+        assert self.pairs_of(
+            [
+                ("poly", Box(0, 0, 8, 8)),
+                ("poly", Box(8, 2, 8, 6)),  # zero width, on the right edge
+                ("poly", Box(2, 8, 6, 8)),  # zero height, on the top edge
+                ("poly", Box(4, 4, 4, 4)),  # a point inside
+                ("poly", Box(9, 9, 9, 9)),  # a point outside
+            ]
+        ) == [(0, 1), (0, 2), (0, 3)]
+
+    def test_identical_stacked_boxes(self):
+        assert self.pairs_of([("diff", Box(2, 2, 10, 8))] * 4) == [
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+        ]
+
+    def test_coincident_geometry_on_different_layers(self):
+        box = Box(0, 0, 6, 6)
+        assert self.pairs_of(
+            [("diff", box), ("poly", box), ("metal1", box), ("diff", box)]
+        ) == [(0, 3)]
+
+    def test_full_width_rail_over_small_boxes(self):
+        # The rail's x window holds every box on its layer; only the
+        # boxes reaching its y range pair, and the small boxes never
+        # pair with each other.
+        small = [
+            ("metal1", Box(4 * i, 3 * (i % 3), 4 * i + 2, 3 * (i % 3) + 2))
+            for i in range(40)
+        ]
+        found = self.pairs_of([("metal1", Box(0, 5, 160, 7))] + small)
+        assert found == [(0, 1 + i) for i in range(40) if i % 3 != 0]
+
+    def test_extreme_coordinates_take_the_rank_path(self):
+        # layers x coordinate span overflowing int64 keys must still
+        # produce the exact list.
+        big = 2**61
+        assert self.pairs_of(
+            [
+                ("metal1", Box(-big, 0, big, 5)),
+                ("poly", Box(-big, 0, big, 5)),
+                ("metal1", Box(big, 5, big, 9)),
+                ("poly", Box(0, 6, 1, 7)),
+            ]
+        ) == [(0, 2)]
 
 
 @requires_numpy
