@@ -149,3 +149,91 @@ def test_cached_reverification(report, record):
         "E-VERIFY: cached re-verification",
         f"  {n} x {n}   cold {cold * 1000:8.2f} ms   warm {warm * 1000:8.2f} ms",
     )
+
+
+#: lane-packed golden evaluation must beat per-pair evaluation by this
+LANES_FLOOR = 10.0
+#: compile-once relaxation must beat per-call simulation by this
+COMPILED_FLOOR = 1.5
+
+
+def test_verify_sim_lanes(report, record):
+    """Lane-packed vs per-pair golden evaluation, compiled vs per-call
+    switch simulation — the two halves of the verify ``sim`` stage.
+
+    * multiplier: the sampled 8x8 check (4096 vectors, the
+      ``verify_multiplier`` seed) in one ``multiply_many`` pass against
+      one ``Netlist.evaluate`` per pair;
+    * PLA: every vector of an 8-input plane relaxed on one
+      :class:`~repro.verify.CompiledNetlist` against :func:`simulate`
+      rebuilding the adjacency per vector.
+
+    Both assert oracle equality (products; every net value) at every
+    size; the floors apply at full size only.  Rows
+    ``verify_sim_lanes_mult`` / ``verify_sim_lanes_pla`` and their
+    ``*_reference`` counterparts land in ``BENCH_compaction.json``.
+    """
+    from repro.multiplier import build_baugh_wooley, from_bits, multiply_many, to_bits, to_signed
+    from repro.verify import CompiledNetlist, exhaustive_vectors, sample_vectors, simulate
+    from repro.verify.driver import pla_layout_netlist
+
+    size = 8
+    count = 512 if SMOKE else 4096
+    golden = build_baugh_wooley(size, size)
+    pairs = [
+        (from_bits(list(bits[:size])), from_bits(list(bits[size:])))
+        for bits in sample_vectors(2 * size, count, seed=1 << (2 * size))
+    ]
+
+    def per_pair():
+        products = []
+        for a, b in pairs:
+            values = {f"a{i}": bit for i, bit in enumerate(to_bits(a, size))}
+            values.update({f"b{j}": bit for j, bit in enumerate(to_bits(b, size))})
+            outputs = golden.evaluate(values)
+            raw = from_bits([outputs[f"p{k}"] for k in range(2 * size)])
+            products.append(to_signed(raw, 2 * size))
+        return products
+
+    assert multiply_many(golden, pairs, size, size) == per_pair()
+    repeats = 1 if SMOKE else 3
+    packed_s = best_time(lambda: multiply_many(golden, pairs, size, size), repeats)
+    per_pair_s = best_time(per_pair, repeats)
+    record("verify_sim_lanes_mult", count, packed_s)
+    record("verify_sim_lanes_mult_reference", count, per_pair_s)
+
+    n = 4 if SMOKE else 8
+    netlist = pla_layout_netlist(build(n))
+    forced = [dict(zip(netlist.inputs, bits)) for bits in exhaustive_vectors(n)]
+
+    def compiled():
+        relaxed = CompiledNetlist(netlist)
+        return [relaxed.relax(vector) for vector in forced]
+
+    def per_call():
+        return [simulate(netlist, vector) for vector in forced]
+
+    assert compiled() == per_call()
+    compiled_s = best_time(compiled, repeats)
+    per_call_s = best_time(per_call, repeats)
+    record("verify_sim_lanes_pla", len(forced), compiled_s)
+    record("verify_sim_lanes_pla_reference", len(forced), per_call_s)
+
+    lanes_ratio = per_pair_s / packed_s
+    compiled_ratio = per_call_s / compiled_s
+    report(
+        "E-VERIFY: lane-packed golden model and compile-once relaxation",
+        f"  multiplier {size}x{size}, {count} vectors: one pass"
+        f" {packed_s * 1000:8.2f} ms, per pair {per_pair_s * 1000:8.2f} ms"
+        f"  ({lanes_ratio:.1f}x)",
+        f"  PLA {n} x {n}, {len(forced)} vectors: compiled"
+        f" {compiled_s * 1000:8.2f} ms, per call {per_call_s * 1000:8.2f} ms"
+        f"  ({compiled_ratio:.1f}x)",
+    )
+    if not SMOKE:
+        assert lanes_ratio >= LANES_FLOOR, (
+            f"lane-packed evaluation only {lanes_ratio:.1f}x over per-pair"
+        )
+        assert compiled_ratio >= COMPILED_FLOOR, (
+            f"compiled relaxation only {compiled_ratio:.1f}x over per-call"
+        )

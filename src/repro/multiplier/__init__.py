@@ -5,6 +5,7 @@ from .baughwooley import (
     cell_type_grid,
     from_bits,
     multiply,
+    multiply_many,
     reference_product,
     to_bits,
     to_signed,
@@ -31,6 +32,7 @@ __all__ = [
     "build_baugh_wooley",
     "intended_multiplier_netlist",
     "multiply",
+    "multiply_many",
     "reference_product",
     "cell_type_grid",
     "to_signed",

@@ -18,7 +18,7 @@ effects.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .netlist import Netlist, Ref
 
@@ -29,6 +29,7 @@ __all__ = [
     "to_bits",
     "from_bits",
     "multiply",
+    "multiply_many",
     "cell_type_grid",
 ]
 
@@ -47,7 +48,7 @@ def to_bits(value: int, bits: int) -> List[int]:
     return [(value >> index) & 1 for index in range(bits)]
 
 
-def from_bits(bits: List[int]) -> int:
+def from_bits(bits: Sequence[int]) -> int:
     """Assemble little-endian bits into an unsigned integer."""
     result = 0
     for index, bit in enumerate(bits):
@@ -60,12 +61,22 @@ def reference_product(a: int, b: int, m: int, n: int) -> int:
     return to_signed(to_signed(a, m) * to_signed(b, n), m + n)
 
 
+# The cell functions are bitwise so that one evaluation can carry many
+# vectors, one per bit lane (``Netlist.evaluate(..., lanes=...)``).
+def _and(x: int, y: int) -> int:
+    return x & y
+
+
+def _nand(x: int, y: int) -> int:
+    return ~(x & y)
+
+
 def _sum3(x: int, y: int, z: int) -> int:
-    return (x + y + z) & 1
+    return x ^ y ^ z
 
 
 def _carry3(x: int, y: int, z: int) -> int:
-    return 1 if (x + y + z) >= 2 else 0
+    return (x & y) | (z & (x | y))
 
 
 def cell_type_grid(m: int, n: int) -> List[List[str]]:
@@ -106,12 +117,6 @@ def build_baugh_wooley(m: int, n: int) -> Netlist:
     sum_ref: Dict[Tuple[int, int], Ref] = {}
     carry_ref: Dict[Tuple[int, int], Ref] = {}
 
-    def and_gate(x: int, y: int) -> int:
-        return x & y
-
-    def nand_gate(x: int, y: int) -> int:
-        return 1 - (x & y)
-
     for j in range(n):
         for i in range(m):
             # Sum input: diagonal from (i+1, j-1); top/left edges get
@@ -133,7 +138,7 @@ def build_baugh_wooley(m: int, n: int) -> Netlist:
             else:
                 c_in = Netlist.const(0)
 
-            gate = nand_gate if types[j][i] == "II" else and_gate
+            gate = _nand if types[j][i] == "II" else _and
             product = netlist.add_cell(
                 f"pp_{i}_{j}", gate, [a_refs[i], b_refs[j]], kind="pp"
             )
@@ -162,13 +167,43 @@ def build_baugh_wooley(m: int, n: int) -> Netlist:
     return netlist
 
 
+def multiply_many(
+    netlist: Netlist, pairs: Sequence[Tuple[int, int]], m: int, n: int
+) -> List[int]:
+    """Signed products of every ``(a, b)`` pair in one evaluation.
+
+    Pair ``k`` rides in bit lane ``k``: operand bit ``i`` becomes one
+    word whose bit ``k`` is bit ``i`` of pair ``k``'s operand, the array
+    is evaluated once with ``lanes=len(pairs)``, and the product words
+    are transposed back into one integer per pair.
+    """
+    lanes = len(pairs)
+    if not lanes:
+        return []
+    inputs: Dict[str, int] = {}
+    for prefix, operands, bits in (("a", [a for a, _ in pairs], m),
+                                   ("b", [b for _, b in pairs], n)):
+        for index, word in enumerate(_transpose(operands, bits)):
+            inputs[f"{prefix}{index}"] = word
+    outputs = netlist.evaluate(inputs, lanes=lanes)
+    width = m + n
+    words = [outputs[f"p{k}"] for k in range(width)]
+    return [to_signed(raw, width) for raw in _transpose(words, lanes)]
+
+
+def _transpose(rows: Sequence[int], width: int) -> List[int]:
+    """Bit-matrix transpose: ``width`` integers whose bit ``k`` is bit
+    ``j`` of ``rows[k]`` (result ``j``), reading ``width`` bits of each
+    row (two's complement for negative rows)."""
+    mask = (1 << width) - 1
+    # zip transposes the binary strings at C speed: with the rows
+    # reversed, each column reads as one result, most significant first.
+    text = [format(row & mask, f"0{width}b") for row in reversed(rows)]
+    columns = [int("".join(column), 2) for column in zip(*text)]
+    columns.reverse()
+    return columns
+
+
 def multiply(netlist: Netlist, a: int, b: int, m: int, n: int) -> int:
     """Run the array combinationally and return the signed product."""
-    values: Dict[str, int] = {}
-    for index, bit in enumerate(to_bits(a, m)):
-        values[f"a{index}"] = bit
-    for index, bit in enumerate(to_bits(b, n)):
-        values[f"b{index}"] = bit
-    outputs = netlist.evaluate(values)
-    raw = from_bits([outputs[f"p{k}"] for k in range(m + n)])
-    return to_signed(raw, m + n)
+    return multiply_many(netlist, [(a, b)], m, n)[0]

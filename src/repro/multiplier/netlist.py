@@ -131,22 +131,31 @@ class Netlist:
     # ------------------------------------------------------------------
     # Combinational evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, input_values: Dict[str, int]) -> Dict[str, int]:
-        """Evaluate combinationally; returns output name -> bit."""
-        values: Dict[str, int] = {}
+    def evaluate(
+        self, input_values: Dict[str, int], lanes: int = 1
+    ) -> Dict[str, int]:
+        """Evaluate combinationally; returns output name -> bit word.
 
-        def fetch(ref: Ref) -> int:
-            kind, target = ref
-            if kind == "const":
-                return target  # type: ignore[return-value]
-            if kind == "input":
-                return input_values[target]  # type: ignore[index]
-            return values[target]  # type: ignore[index]
-
+        Each value is a word of ``lanes`` independent bits, one per
+        input vector (parallel-pattern evaluation): a constant 1 is the
+        all-ones word ``(1 << lanes) - 1`` and every output is masked
+        to ``lanes`` bits.  With ``lanes > 1`` the cell functions must
+        be bitwise (``&``, ``|``, ``^``, ``~``) so that lanes never
+        mix; intermediate words may carry bits above the lane count
+        (``~`` sets them all) which the output mask discards.  With the
+        default ``lanes=1`` this is the ordinary one-vector evaluation.
+        """
+        mask = (1 << lanes) - 1
+        values: Dict[Ref, int] = {("const", 0): 0, ("const", 1): mask}
+        for name, value in input_values.items():
+            values[("input", name)] = value
+        cells = self.cells
         for name in self.topological_order():
-            cell = self.cells[name]
-            values[name] = cell.function(*(fetch(ref) for ref in cell.inputs))
-        return {name: fetch(ref) for name, ref in self.outputs.items()}
+            cell = cells[name]
+            values[("cell", name)] = cell.function(
+                *[values[ref] for ref in cell.inputs]
+            )
+        return {name: values[ref] & mask for name, ref in self.outputs.items()}
 
     def count_kind(self, kind: str) -> int:
         return sum(1 for cell in self.cells.values() if cell.kind == kind)

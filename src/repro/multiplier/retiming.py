@@ -168,7 +168,9 @@ class PipelinedSimulator:
             for position, ref in enumerate(cell.inputs):
                 queue = self._edge_queues.get((name, position))
                 operands.append(queue[0] if queue is not None else raw(ref))
-            values[name] = cell.function(*operands)
+            # Cell functions are bitwise (lane-parallel); a one-vector
+            # register simulation keeps lane 0 only, so ~ yields 0/1.
+            values[name] = cell.function(*operands) & 1
 
         outputs: Dict[str, int] = {}
         for output, ref in self.netlist.outputs.items():

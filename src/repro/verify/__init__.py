@@ -24,7 +24,14 @@ from .extract import ExtractionError, extract_layers, extract_netlist
 from .hier import TileExtraction, extract_netlist_hier
 from .lvs import LvsReport, compare_netlists
 from .netlist import Device, SwitchNetlist
-from .switchsim import SimulationError, X, exhaustive_vectors, sample_vectors, simulate
+from .switchsim import (
+    CompiledNetlist,
+    SimulationError,
+    X,
+    exhaustive_vectors,
+    sample_vectors,
+    simulate,
+)
 
 __all__ = [
     "Device",
@@ -38,6 +45,7 @@ __all__ = [
     "multiplier_personality",
     "LvsReport",
     "compare_netlists",
+    "CompiledNetlist",
     "SimulationError",
     "X",
     "simulate",

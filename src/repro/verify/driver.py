@@ -32,7 +32,7 @@ from .extract import extract_netlist
 from .hier import extract_netlist_hier
 from .lvs import LvsReport, compare_netlists
 from .netlist import SwitchNetlist
-from .switchsim import exhaustive_vectors, sample_vectors, simulate
+from .switchsim import CompiledNetlist, exhaustive_vectors, sample_vectors
 
 __all__ = ["VerificationReport", "verify_cell", "verify_pla", "verify_multiplier"]
 
@@ -183,36 +183,59 @@ def verify_pla(
         table = extract_personality(cell)
 
     if mode in ("lvs", "all"):
-        if is_decoder:
-            golden = intended_decoder_netlist(table.num_inputs)
-        else:
-            golden = intended_pla_netlist(table)
-        report.lvs = compare_netlists(netlist, golden)
+        with obs_trace.span("verify.lvs") as lvs_span:
+            if is_decoder:
+                golden = intended_decoder_netlist(table.num_inputs)
+            else:
+                golden = intended_pla_netlist(table)
+            report.lvs = compare_netlists(netlist, golden)
+            lvs_span.set(matched=report.lvs.matched)
 
     if mode in ("sim", "all"):
-        width = len(netlist.inputs)
-        if width != table.num_inputs:
-            report.failures.append(
-                f"extracted {width} inputs, table has {table.num_inputs}"
+        with obs_trace.span("verify.sim", lanes=1) as sim_span:
+            _simulate_pla(report, netlist, table, is_decoder, max_vectors)
+            sim_span.set(
+                vectors=report.vectors_checked,
+                exhaustive=report.exhaustive,
+                failures=len(report.failures),
             )
-            return report
-        if (1 << width) <= max_vectors:
-            vectors = exhaustive_vectors(width)
-            report.exhaustive = True
-        else:
-            vectors = sample_vectors(width, max_vectors, seed=width)
-        for bits in vectors:
-            values = simulate(netlist, dict(zip(netlist.inputs, bits)))
-            got = [values[net] for net in netlist.outputs]
-            if is_decoder:
-                index = sum(bit << k for k, bit in enumerate(bits))
-                want = [1 if k == index else 0 for k in range(len(netlist.outputs))]
-            else:
-                want = table.evaluate(list(bits))
-            if got != want:
-                report.failures.append(f"inputs {bits}: got {got}, want {want}")
-        report.vectors_checked = len(vectors)
     return report
+
+
+def _simulate_pla(
+    report: VerificationReport,
+    netlist: SwitchNetlist,
+    table,
+    is_decoder: bool,
+    max_vectors: int,
+) -> None:
+    """Switch-level simulate ``netlist`` against the truth table.
+
+    The netlist is compiled once and relaxed once per vector.
+    """
+    width = len(netlist.inputs)
+    if width != table.num_inputs:
+        report.failures.append(
+            f"extracted {width} inputs, table has {table.num_inputs}"
+        )
+        return
+    if (1 << width) <= max_vectors:
+        vectors = exhaustive_vectors(width)
+        report.exhaustive = True
+    else:
+        vectors = sample_vectors(width, max_vectors, seed=width)
+    compiled = CompiledNetlist(netlist)
+    for bits in vectors:
+        values = compiled.relax(dict(zip(netlist.inputs, bits)))
+        got = [values[net] for net in netlist.outputs]
+        if is_decoder:
+            index = sum(bit << k for k, bit in enumerate(bits))
+            want = [1 if k == index else 0 for k in range(len(netlist.outputs))]
+        else:
+            want = table.evaluate(list(bits))
+        if got != want:
+            report.failures.append(f"inputs {bits}: got {got}, want {want}")
+    report.vectors_checked = len(vectors)
 
 
 def verify_multiplier(
@@ -229,12 +252,7 @@ def verify_multiplier(
     multiplies every operand pair (or a seeded sample beyond
     ``max_vectors``) against the reference product.
     """
-    from ..multiplier.baughwooley import (
-        build_baugh_wooley,
-        cell_type_grid,
-        multiply,
-        reference_product,
-    )
+    from ..multiplier.baughwooley import cell_type_grid
     from ..multiplier.generator import intended_multiplier_netlist
     from .cellgraph import cell_graph_netlist, multiplier_personality
 
@@ -244,13 +262,17 @@ def verify_multiplier(
     except ValueError as error:
         report.failures.append(f"personality read-back: {error}")
         return report
-    netlist = cell_graph_netlist(cell)
+    with obs_trace.span("verify.extract", hier=False) as extract_span:
+        netlist = cell_graph_netlist(cell)
+        extract_span.set(nets=len(netlist.net_names), devices=len(netlist.devices))
     report.devices = len(netlist.devices)
     report.nets = netlist.num_nets
 
     if mode in ("lvs", "all"):
-        golden = intended_multiplier_netlist(xsize, ysize)
-        report.lvs = compare_netlists(netlist, golden)
+        with obs_trace.span("verify.lvs") as lvs_span:
+            golden = intended_multiplier_netlist(xsize, ysize)
+            report.lvs = compare_netlists(netlist, golden)
+            lvs_span.set(matched=report.lvs.matched)
 
     if mode in ("sim", "all"):
         if grid != cell_type_grid(xsize, ysize):
@@ -262,29 +284,48 @@ def verify_multiplier(
                 "carry-propagate row carries a type II mask"
             )
         if not report.failures and xsize >= 2 and ysize >= 2:
-            functional = build_baugh_wooley(xsize, ysize)
-            total = 1 << (xsize + ysize)
-            if total <= max_vectors:
-                pairs = [
-                    (a, b) for a in range(1 << xsize) for b in range(1 << ysize)
-                ]
-                report.exhaustive = True
-            else:
-                vectors = sample_vectors(xsize + ysize, max_vectors, seed=total)
-                pairs = [
-                    (
-                        sum(bit << k for k, bit in enumerate(bits[:xsize])),
-                        sum(bit << k for k, bit in enumerate(bits[xsize:])),
-                    )
-                    for bits in vectors
-                ]
-            for a, b in pairs:
-                got = multiply(functional, a, b, xsize, ysize)
-                want = reference_product(a, b, xsize, ysize)
-                if got != want:
-                    report.failures.append(f"{a} x {b}: got {got}, want {want}")
-            report.vectors_checked = len(pairs)
+            with obs_trace.span("verify.sim") as sim_span:
+                _check_products(report, xsize, ysize, max_vectors)
+                sim_span.set(
+                    vectors=report.vectors_checked,
+                    exhaustive=report.exhaustive,
+                    lanes=report.vectors_checked,
+                    failures=len(report.failures),
+                )
     return report
+
+
+def _check_products(
+    report: VerificationReport, xsize: int, ysize: int, max_vectors: int
+) -> None:
+    """Multiply every operand pair (or a seeded sample) on the
+    Baugh-Wooley golden model against the reference product.
+
+    All pairs ride in the bit lanes of one evaluation.
+    """
+    from ..multiplier.baughwooley import (
+        build_baugh_wooley,
+        from_bits,
+        multiply_many,
+        reference_product,
+    )
+
+    total = 1 << (xsize + ysize)
+    if total <= max_vectors:
+        pairs = [(a, b) for a in range(1 << xsize) for b in range(1 << ysize)]
+        report.exhaustive = True
+    else:
+        vectors = sample_vectors(xsize + ysize, max_vectors, seed=total)
+        pairs = [
+            (from_bits(bits[:xsize]), from_bits(bits[xsize:]))
+            for bits in vectors
+        ]
+    products = multiply_many(build_baugh_wooley(xsize, ysize), pairs, xsize, ysize)
+    for (a, b), got in zip(pairs, products):
+        want = reference_product(a, b, xsize, ysize)
+        if got != want:
+            report.failures.append(f"{a} x {b}: got {got}, want {want}")
+    report.vectors_checked = len(pairs)
 
 
 def verify_cell(

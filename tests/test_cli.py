@@ -710,6 +710,67 @@ class TestTimingsFlag:
         assert outputs["0"] == outputs["1"]
 
 
+class TestVerifySubStageSpans:
+    """``verify.extract`` / ``verify.lvs`` / ``verify.sim`` open under
+    the verify stage and say what was simulated; the ``--timings``
+    stage set does not change."""
+
+    def test_multiplier_flow_under_trace_env(self, flow_files, monkeypatch, capsys):
+        from repro.obs import trace as obs_trace
+
+        parameter, _ = flow_files
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        tracers = []
+
+        class Recording(obs_trace.Tracer):
+            """The tracer the CLI activates, kept for inspection."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tracers.append(self)
+
+        monkeypatch.setattr(obs_trace, "Tracer", Recording)
+        assert main([str(parameter), "--verify", "all"]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+        (tracer,) = tracers
+        spans = tracer.finished()
+        (stage,) = [s for s in spans if s.name == "job.verify"]
+        children = {s.name: s for s in spans if s.parent_id == stage.span_id}
+        assert {"verify.extract", "verify.lvs", "verify.sim"} <= set(children)
+        assert children["verify.lvs"].attributes["matched"] is True
+        # 3x3 operands: all 64 pairs, every one in a lane of one pass.
+        assert children["verify.sim"].attributes == {
+            "vectors": 64, "exhaustive": True, "lanes": 64, "failures": 0,
+        }
+
+    def test_timings_stage_set_unchanged(self, flow_files, monkeypatch):
+        parameter, _ = flow_files
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        timings = {}
+        run_flow(str(parameter), output_stream=None, verify_mode="all",
+                 timings=timings)
+        assert list(timings) == ["generate", "verify", "emit"]
+
+    def test_pla_verify_spans_under_trace_env(self, monkeypatch):
+        from repro.obs import Tracer, activated, span
+        from repro.pla import TruthTable, generate_pla
+        from repro.verify import verify_cell
+
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        table = TruthTable.parse("1-0 | 10\n01- | 11\n-11 | 01\n00- | 10")
+        tracer = Tracer()
+        with activated(tracer), span("job.verify") as stage:
+            report = verify_cell(generate_pla(table), table=table)
+        assert report.ok
+        children = [s for s in tracer.finished() if s.parent_id == stage.span_id]
+        assert [s.name for s in children] == [
+            "verify.extract", "verify.lvs", "verify.sim",
+        ]
+        assert children[2].attributes == {
+            "vectors": 8, "exhaustive": True, "lanes": 1, "failures": 0,
+        }
+
+
 def test_entry_points_do_not_import_scipy():
     """scipy is most of the package's import time and only the two LP
     passes use it, so the CLI and the service load it on first solve."""

@@ -380,3 +380,234 @@ class TestHierarchicalExtraction:
         hier = extract_netlist_hier(root)
         assert flat.vdd_nets and hier.vdd_nets
         assert compare_netlists(hier, flat).matched
+
+
+# ----------------------------------------------------------------------
+# Compiled relaxation against the per-call simulator it replaced
+
+
+def simulate_oracle(netlist, input_values, max_events=None):
+    """The per-call switch-level simulator, kept as the test oracle.
+
+    Rebuilds the net -> device adjacency from ``Device`` pins on every
+    call; :class:`repro.verify.CompiledNetlist` must settle every
+    vector to exactly the values this returns.
+    """
+    from repro.verify.switchsim import SimulationError
+
+    for device in netlist.devices:
+        if device.kind not in ("enh", "dep"):
+            raise SimulationError(f"device kind {device.kind!r} is not a transistor")
+    forced = {}
+    for net in netlist.vdd_nets:
+        forced[net] = 1
+    for net in netlist.gnd_nets:
+        forced[net] = 0
+    for net, value in input_values.items():
+        forced[net] = value
+    count = netlist.num_nets
+    values = [X] * count
+    strengths = [0] * count
+    for net, value in forced.items():
+        values[net] = value
+        strengths[net] = 3
+    by_channel = [[] for _ in range(count)]
+    by_gate = [[] for _ in range(count)]
+    for device in netlist.devices:
+        for net in device.pins_with_role("ch"):
+            by_channel[net].append(device)
+        for net in device.pins_with_role("g"):
+            by_gate[net].append(device)
+
+    def resolve(drives):
+        result = None
+        for value in drives:
+            if result is None:
+                result = value
+            elif result != value:
+                return X
+        return X if result is None else result
+
+    def contributions(net):
+        if net in forced:
+            return 3, forced[net]
+        best, best_values = 0, []
+        for device in by_channel[net]:
+            a, b = device.pins_with_role("ch")
+            other = b if a == net else a
+            if device.kind == "dep":
+                conduct, cap = 1, 1
+            else:
+                conduct, cap = values[device.pins_with_role("g")[0]], 2
+            if conduct == 0:
+                continue
+            strength = min(strengths[other], cap)
+            if strength == 0:
+                continue
+            value = values[other] if conduct == 1 else X
+            if strength > best:
+                best, best_values = strength, [value]
+            elif strength == best:
+                best_values.append(value)
+        return best, resolve(best_values) if best > 0 else X
+
+    worklist = list(forced)
+    queued = set(worklist)
+    budget = max_events if max_events is not None else 64 * (
+        count + len(netlist.devices) + 1
+    )
+    events = 0
+    while worklist:
+        events += 1
+        if events > budget:
+            raise SimulationError(f"relaxation did not settle within {budget} events")
+        net = worklist.pop()
+        queued.discard(net)
+        affected = []
+        for device in by_channel[net]:
+            a, b = device.pins_with_role("ch")
+            affected.append(b if a == net else a)
+        for device in by_gate[net]:
+            affected.extend(device.pins_with_role("ch"))
+        for other in affected:
+            if other in forced:
+                continue
+            strength, value = contributions(other)
+            if (strength, value) != (strengths[other], values[other]):
+                strengths[other], values[other] = strength, value
+                if other not in queued:
+                    queued.add(other)
+                    worklist.append(other)
+    return values
+
+
+def seeded_table(seed, inputs, outputs, terms):
+    """A random personality with no empty AND row or OR column."""
+    import random
+
+    rng = random.Random(seed)
+    rows, outs = [], []
+    for term in range(terms):
+        row = [rng.choice("10-") for _ in range(inputs)]
+        if set(row) == {"-"}:
+            row[0] = "1"
+        out = ["1" if rng.random() < 0.4 else "0" for _ in range(outputs)]
+        out[term % outputs] = "1"
+        rows.append("".join(row))
+        outs.append("".join(out))
+    return TruthTable(rows, outs)
+
+
+def seeded_netlists():
+    """(label, extracted netlist) for seeded PLAs, ROMs and decoders."""
+    import random
+
+    cases = []
+    for seed in range(3):
+        table = seeded_table(seed, 3 + seed, 2 + seed % 2, 4 + seed)
+        cases.append((f"pla{seed}", pla_layout_netlist(generate_pla(table))))
+        rng = random.Random(100 + seed)
+        words = [rng.randrange(8) for _ in range(4 + seed)]
+        cases.append((f"rom{seed}", pla_layout_netlist(generate_rom(words, 3)[0])))
+    for inputs in (2, 3, 4):
+        cases.append((f"dec{inputs}", pla_layout_netlist(generate_decoder(inputs))))
+    return cases
+
+
+class TestCompiledRelaxation:
+    """``CompiledNetlist.relax`` equals the per-call oracle, vector by
+    vector, every net (not just the outputs), with and without X."""
+
+    @pytest.mark.parametrize("label, netlist", seeded_netlists())
+    def test_every_net_matches_oracle(self, label, netlist):
+        import itertools
+        import random
+
+        from repro.verify import CompiledNetlist
+
+        compiled = CompiledNetlist(netlist)
+        width = len(netlist.inputs)
+        if 3 ** width <= 243:
+            vectors = list(itertools.product((0, 1, X), repeat=width))
+        else:
+            rng = random.Random(width)
+            vectors = [
+                tuple(rng.choice((0, 1, X)) for _ in range(width)) for _ in range(200)
+            ]
+        assert any(X in bits for bits in vectors)
+        for bits in vectors:
+            forced = dict(zip(netlist.inputs, bits))
+            assert compiled.relax(forced) == simulate_oracle(netlist, forced), (
+                label, bits,
+            )
+            assert simulate(netlist, forced) == simulate_oracle(netlist, forced)
+
+    def test_budget_and_kind_checks_kept(self):
+        from repro.verify import CompiledNetlist, SimulationError
+
+        netlist = pla_layout_netlist(generate_pla(TABLE))
+        forced = dict(zip(netlist.inputs, (1, 0, 1)))
+        with pytest.raises(SimulationError, match="did not settle within 2 events"):
+            CompiledNetlist(netlist).relax(forced, max_events=2)
+        with pytest.raises(SimulationError, match="did not settle"):
+            simulate_oracle(netlist, forced, max_events=2)
+        netlist.add_device("res", [("a", netlist.inputs[0]), ("b", netlist.inputs[1])])
+        with pytest.raises(SimulationError, match="not a transistor"):
+            CompiledNetlist(netlist)
+
+    def test_missing_crosspoint_fails_like_the_per_vector_loop(self, monkeypatch):
+        """Drop one AND-plane transistor from the extracted netlist: the
+        compiled verifier reports exactly the failures the per-vector
+        oracle loop finds."""
+        import repro.verify.driver as driver
+        from repro.verify import exhaustive_vectors
+
+        cell = generate_pla(TABLE)
+        intact = pla_layout_netlist(cell)
+
+        def without(index):
+            netlist = pla_layout_netlist(cell)
+            del netlist.devices[index]
+            return netlist
+
+        def oracle_failures(netlist):
+            failures = []
+            for bits in exhaustive_vectors(TABLE.num_inputs):
+                values = simulate_oracle(netlist, dict(zip(netlist.inputs, bits)))
+                got = [values[net] for net in netlist.outputs]
+                want = TABLE.evaluate(list(bits))
+                if got != want:
+                    failures.append(f"inputs {bits}: got {got}, want {want}")
+            return failures
+
+        # An AND-plane crosspoint pulls a product-term row down; take
+        # the first whose loss the truth table can see (a widened term
+        # may still be covered by the others).
+        rows = {net for net in range(intact.num_nets)
+                if any(name.endswith("/row") for name in intact.net_names[net])}
+        crosspoints = [
+            index for index, device in enumerate(intact.devices)
+            if device.kind == "enh" and rows & set(device.pins_with_role("ch"))
+        ]
+        index = next(i for i in crosspoints if oracle_failures(without(i)))
+        expected = oracle_failures(without(index))
+
+        monkeypatch.setattr(driver, "pla_layout_netlist", lambda *a, **k: without(index))
+        report = verify_pla(cell, table=TABLE, mode="sim")
+        assert report.failures == expected
+
+
+def test_sample_vectors_keeps_the_randint_stream():
+    """``sample_vectors`` draws ``getrandbits(2)`` with rejection, which
+    must reproduce the ``randint(0, 1)`` stream it replaced bit for bit
+    (the sampled vector sets, and so every sampled verdict, depend on
+    it)."""
+    import random
+
+    from repro.verify import sample_vectors
+
+    for width in range(1, 17):
+        for seed in range(5):
+            rng = random.Random(seed)
+            old = [tuple(rng.randint(0, 1) for _ in range(width)) for _ in range(64)]
+            assert sample_vectors(width, 64, seed=seed) == old, (width, seed)
