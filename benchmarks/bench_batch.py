@@ -20,7 +20,14 @@ carries the CI guards:
 * ``alignment_pairs_vec`` — the sorted-window join behind
   :func:`repro.compact.alignment_pairs` versus the quadratic scan kept
   as its oracle in ``tests/test_sweep_equivalence.py``, on the flat
-  boxes of a generated PLA (>= 10x floor).
+  boxes of a generated PLA (>= 10x floor);
+* ``flat_pass_vec`` — one array-resident :func:`repro.compact.compact_layout`
+  x pass plus one y pass over the flat 16x16 multiplier (4x4 in smoke
+  mode) versus the object pipeline kept as ``compact_layout_oracle`` in
+  ``tests/test_flat_oracle.py``: identical rows, solution, counts and
+  geometry at every size, >= 2x at full size.  Full size also records
+  ``flat_xy_32x32``, the two ``compact_cell`` passes of a 32x32
+  multiplier ``--compact xy`` (flatten included), as a trajectory row.
 
 Each comparison asserts output equality first, then enforces the >= 3x
 speedup outside smoke mode (``REPRO_BENCH_SMOKE=1`` runs small sizes
@@ -37,7 +44,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import compare_kernel, sweep_layout_pairs
+from conftest import best_time, compare_kernel, sweep_layout_pairs
 
 from repro.compact import TECH_A, build_edge_variables
 from repro.compact.drc import check_layout_batch, check_layout_python
@@ -55,6 +62,7 @@ from bench_sweep import random_layers, trunk_layers
 
 # The alignment-pairs oracle lives beside the equivalence tests.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from test_flat_oracle import assert_same_pass, compact_layout_oracle  # noqa: E402
 from test_sweep_equivalence import alignment_pairs_oracle  # noqa: E402
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -270,3 +278,51 @@ def test_alignment_pairs_vec(benchmark, report, record):
     benchmark.pedantic(
         lambda: _impl_alignment_pairs_vec(report, record), rounds=1, iterations=1
     )
+
+
+def _impl_flat_pass_vec(report, record, monkeypatch):
+    from repro.compact import compact_cell, compact_layout
+    from repro.layout import flatten_cell
+    from repro.multiplier import generate_multiplier
+
+    size = 4 if SMOKE else 16
+    layout = flatten_cell(generate_multiplier(size, size))
+    for axis in "xy":
+        assert assert_same_pass(monkeypatch, layout, TECH_A, axis=axis) is not None
+
+    def passes(compact):
+        return [compact(layout, TECH_A, axis=axis) for axis in "xy"]
+
+    compare_kernel(
+        report,
+        record,
+        "flat_pass_vec",
+        layout.box_count(),
+        lambda: passes(compact_layout),
+        lambda: passes(compact_layout_oracle),
+        min_ratio=2.0,
+        smoke=SMOKE,
+        repeats=5,
+    )
+    if SMOKE:
+        return
+    cell = generate_multiplier(32, 32)
+
+    def compact_xy():
+        compacted = cell
+        for axis in "xy":
+            compacted, _ = compact_cell(compacted, TECH_A, axis=axis)
+        return compacted
+
+    seconds = best_time(compact_xy, repeats=3)
+    record("flat_xy_32x32", flatten_cell(cell).box_count(), seconds)
+    report(f"E-BATCH 32x32 multiplier flat x-then-y compaction: {seconds:.2f} s")
+
+
+def test_flat_pass_vec(benchmark, report, record, monkeypatch):
+    benchmark.pedantic(
+        lambda: _impl_flat_pass_vec(report, record, monkeypatch),
+        rounds=1,
+        iterations=1,
+    )
+

@@ -85,6 +85,7 @@ from .core.errors import (
     VerificationError,
 )
 from .core.operators import Rsg
+from .geometry.batch import kernel_label
 from .lang.interpreter import Interpreter
 from .lang.param_file import parse_parameters
 from .layout.cif import write_cif
@@ -255,7 +256,7 @@ def run_flow(
         timings["generate"] = stage_span.duration_s
 
     if compact_axes:
-        with obs_trace.span("job.compact") as stage_span:
+        with obs_trace.span("job.compact", kernel=kernel_label()) as stage_span:
             cell = _compact_flow_cell(
                 cell, compact_axes, solver, technology, output_stream,
                 jobs=jobs, cache_dir=cache_dir,

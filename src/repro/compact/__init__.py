@@ -19,10 +19,15 @@ from .pipeline import (
 )
 from .layers import cut_count, expand_contact, expand_gate, expand_layout
 from .leafcell import LeafCellCompactor, LeafCellResult, PitchCost, pitch_name
-from .rubberband import alignment_pairs, misalignment, rubber_band_solve
+from .rubberband import (
+    AlignmentPairs,
+    alignment_pairs,
+    rubber_band_solve,
+)
 from .rules import TECH_A, TECH_B, ContactRule, DesignRules, RuleTables
 from .scanline import (
     CompactionBox,
+    CompactionBoxes,
     add_width_constraints,
     build_edge_variables,
     naive_constraints,
@@ -70,8 +75,8 @@ __all__ = [
     "LeafCellResult",
     "PitchCost",
     "pitch_name",
+    "AlignmentPairs",
     "alignment_pairs",
-    "misalignment",
     "rubber_band_solve",
     "DesignRules",
     "RuleTables",
@@ -79,6 +84,7 @@ __all__ = [
     "TECH_A",
     "TECH_B",
     "CompactionBox",
+    "CompactionBoxes",
     "build_edge_variables",
     "add_width_constraints",
     "naive_constraints",

@@ -12,19 +12,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.cell import CellDefinition
-from ..geometry import Box
+from ..geometry import Box, batch
 from ..layout.database import FlatLayout, flatten_cell, merge_boxes
 from ..obs import trace as obs_trace
 from .constraints import ConstraintSystem
 from .drc import Violation, check_layout
-from .rubberband import alignment_pairs, misalignment, rubber_band_solve
+from .rubberband import alignment_pairs, rubber_band_solve
 from .rules import DesignRules
 from .scanline import (
-    CompactionBox,
+    CompactionBoxes,
     add_width_constraints,
-    build_edge_variables,
     naive_constraints,
-    rebuild_boxes,
     visibility_constraints,
 )
 from .solver import SolveStats, solve_longest_path
@@ -50,8 +48,12 @@ class CompactionResult:
         return check_layout(self.layers, rules)
 
 
-def _transpose_box(box: Box) -> Box:
-    return Box(box.ymin, box.xmin, box.ymax, box.xmax)
+def _solution_column(system: ConstraintSystem, solution: Dict[str, int]):
+    """The solution as an int64 array indexed like ``system.variables``."""
+    np = batch.require_numpy()
+    return np.fromiter(
+        map(solution.__getitem__, system.variables), np.int64, len(system.variables)
+    )
 
 
 def compact_layout(
@@ -106,64 +108,89 @@ def compact_layout(
         cached = cache.get(key)
         if cached is not None:
             return cached
-    pairs: List[Tuple[str, Box]] = []
-    for layer, boxes in sorted(layout.layers.items()):
-        source = merge_boxes(boxes) if merge else boxes
-        for box in source:
-            pairs.append((layer, _transpose_box(box) if axis == "y" else box))
-
-    system, comp_boxes = build_edge_variables(pairs)
-    add_width_constraints(system, comp_boxes, rules, mode=width_mode, sizing=sizing)
-    if method == "visibility":
-        spacing_count = visibility_constraints(system, comp_boxes, rules)
-    elif method == "naive":
-        spacing_count = naive_constraints(system, comp_boxes, rules)
-    elif method == "naive-indiscriminate":
-        spacing_count = naive_constraints(system, comp_boxes, rules, merge_aware=False)
-    elif method == "naive-skip-hidden":
-        spacing_count = naive_constraints(system, comp_boxes, rules, skip_hidden=True)
+    np = batch.require_numpy()
+    # Decode once: the flat boxes become coordinate columns, the y pass
+    # swaps the columns instead of transposing boxes, and the result is
+    # decoded back from the solved columns.
+    names = sorted(name for name, boxes in layout.layers.items() if boxes)
+    drawn = [layout.layers[name] for name in names]
+    source = batch.boxes_to_arrays([box for boxes in drawn for box in boxes])
+    if merge:
+        drawn = [merge_boxes(boxes) for boxes in drawn]
+        arrays = batch.boxes_to_arrays([box for boxes in drawn for box in boxes])
     else:
-        raise ValueError(f"unknown constraint method {method!r}")
+        arrays = source
+    if axis == "y":
+        arrays = batch.BoxArray(arrays.ymin, arrays.xmin, arrays.ymax, arrays.xmax)
+        source = batch.BoxArray(source.ymin, source.xmin, source.ymax, source.xmax)
+    layers: List[str] = []
+    for name, boxes in zip(names, drawn):
+        layers += [name] * len(boxes)
+
+    system = ConstraintSystem()
+    with obs_trace.span("compact.constraints", axis=axis) as constraints_span:
+        boxes = CompactionBoxes.declare(system, layers, arrays, transposed=axis == "y")
+        width_rows = add_width_constraints(
+            system, boxes, rules, mode=width_mode, sizing=sizing
+        )
+        if method == "visibility":
+            spacing_count = visibility_constraints(system, boxes, rules)
+        elif method == "naive":
+            spacing_count = naive_constraints(system, boxes, rules)
+        elif method == "naive-indiscriminate":
+            spacing_count = naive_constraints(system, boxes, rules, merge_aware=False)
+        elif method == "naive-skip-hidden":
+            spacing_count = naive_constraints(system, boxes, rules, skip_hidden=True)
+        else:
+            raise ValueError(f"unknown constraint method {method!r}")
+        constraints_span.set(
+            variables=len(system.variables),
+            width=width_rows,
+            connect=len(system) - width_rows - spacing_count,
+            spacing=spacing_count,
+        )
 
     with obs_trace.span("solver.solve", axis=axis) as solve_span:
         stats = solve_longest_path(system, sort_edges=sort_edges, solver=solver)
         solve_span.set(**stats.to_dict())
+    with obs_trace.span("compact.alignment", axis=axis) as alignment_span:
+        align = alignment_pairs(boxes)
+        alignment_span.set(pairs=len(align))
     solution = stats.solution
-    align = alignment_pairs(comp_boxes)
-    result = CompactionResult(stats=stats)
-    result.spacing_constraints = spacing_count
-    result.constraint_count = len(system)
-    result.jog_before = misalignment(align, solution)
-    if rubber_band and align:
+    values = _solution_column(system, solution)
+    result = CompactionResult(
+        stats=stats, constraint_count=len(system), spacing_constraints=spacing_count
+    )
+    result.jog_before = align.jog(values)
+    if rubber_band and len(align):
         width_limit = max(solution.values()) if solution else 0
         solution = rubber_band_solve(
-            system, comp_boxes, width_limit, align, solver=solver
+            system, boxes, width_limit, align, solver=solver
         )
-        result.jog_after = misalignment(align, solution)
+        values = _solution_column(system, solution)
+        result.jog_after = align.jog(values)
     else:
         result.jog_after = result.jog_before
 
-    rebuilt = rebuild_boxes(comp_boxes, solution)
-    for layer, box in rebuilt:
-        result.layers.setdefault(layer, []).append(
-            _transpose_box(box) if axis == "y" else box
-        )
+    with obs_trace.span("compact.rebuild", axis=axis) as rebuild_span:
+        left, right = values[boxes.left], values[boxes.right]
+        low, high = np.minimum(left, right), np.maximum(left, right)
+        if axis == "y":
+            columns = (arrays.ymin, low, arrays.ymax, high)
+        else:
+            columns = (low, arrays.ymin, high, arrays.ymax)
+        rebuilt = batch.boxes_from_arrays(*columns)
+        start = 0
+        for name, boxes_of_layer in zip(names, drawn):
+            if boxes_of_layer:
+                result.layers[name] = rebuilt[start:start + len(boxes_of_layer)]
+                start += len(boxes_of_layer)
+        rebuild_span.set(boxes=len(rebuilt))
 
-    bbox = layout.bounding_box()
-    if bbox is not None:
-        result.width_before = bbox.width if axis == "x" else bbox.height
-    xs = [
-        (box.xmax if axis == "x" else box.ymax)
-        for boxes in result.layers.values()
-        for box in boxes
-    ]
-    lows = [
-        (box.xmin if axis == "x" else box.ymin)
-        for boxes in result.layers.values()
-        for box in boxes
-    ]
-    if xs:
-        result.width_after = max(xs) - min(lows)
+    if len(source):
+        result.width_before = int(source.xmax.max() - source.xmin.min())
+    if rebuilt:
+        result.width_after = int(high.max() - low.min())
     if cache is not None and key is not None:
         cache.put(key, result)
     return result
@@ -206,6 +233,5 @@ def compact_cell(
     result = compact_layout(layout, rules, **options)
     compacted = CellDefinition(name or f"{cell.name}_compacted")
     for layer, boxes in sorted(result.layers.items()):
-        for box in boxes:
-            compacted.add_box(layer, box.xmin, box.ymin, box.xmax, box.ymax)
+        compacted.add_boxes(layer, boxes)
     return compacted, result

@@ -31,12 +31,12 @@ from ..core.cell import CellDefinition
 from ..core.errors import CompactionError, InfeasibleConstraintsError
 from ..core.interface import Interface
 from ..core.operators import Rsg
-from ..geometry import Box, NORTH, Vec2
+from ..geometry import Box, NORTH, Vec2, batch
 from .constraints import Constraint, ConstraintSystem
 from .drc import Violation, check_layout
 from .rules import DesignRules
 from .scanline import (
-    CompactionBox,
+    CompactionBoxes,
     add_width_constraints,
     build_edge_variables,
     visibility_constraints,
@@ -103,7 +103,7 @@ class LeafCellCompactor:
         self.solver = get_solver(solver)
         self.solver_name = solver or DEFAULT_SOLVER
         self.system = ConstraintSystem()
-        self._cell_boxes: Dict[str, List[CompactionBox]] = {}
+        self._cell_boxes: Dict[str, CompactionBoxes] = {}
         #: cache-key snapshots taken at registration time:
         #: name -> (geometry fingerprint, frozen, sizing)
         self._cell_meta: Dict[str, Tuple[str, bool, Optional[Tuple]]] = {}
@@ -120,7 +120,7 @@ class LeafCellCompactor:
         name: str,
         frozen: bool = False,
         sizing: Optional[Dict[str, int]] = None,
-    ) -> List[CompactionBox]:
+    ) -> CompactionBoxes:
         """Register a leaf cell: edge variables plus intra-cell constraints.
 
         ``frozen`` pins the cell's geometry exactly (the "critical parts
@@ -216,33 +216,38 @@ class LeafCellCompactor:
         offset = interface.vector
         boxes_a = self._cell_boxes[cell_a]
         boxes_b = self._cell_boxes[cell_b]
-        scratch = ConstraintSystem()
-        combined: List[CompactionBox] = []
         # Instance 0 of A at the origin; instance 1 of B at the example
-        # pitch.  Scratch variables are per-instance so the scanner can
-        # run; the mapping carries (real variable, is-instance-1).
-        mapping: Dict[str, Tuple[str, bool]] = {}
-        for which, (boxes, shift, shifted) in enumerate(
-            ((boxes_a, Vec2(0, 0), False), (boxes_b, offset, True))
-        ):
-            for position, item in enumerate(boxes):
-                left = scratch.add_variable(
-                    f"i{which}.{position}.l", initial=item.box.xmin + shift.x
+        # pitch, as one scratch table so the scanner can run.
+        a, b = boxes_a.arrays, boxes_b.arrays
+        shifted_arrays = batch.BoxArray(
+            *(
+                np.concatenate([column_a, column_b + shift])
+                for column_a, column_b, shift in zip(
+                    (a.xmin, a.ymin, a.xmax, a.ymax),
+                    (b.xmin, b.ymin, b.xmax, b.ymax),
+                    (offset.x, offset.y, offset.x, offset.y),
                 )
-                right = scratch.add_variable(
-                    f"i{which}.{position}.r", initial=item.box.xmax + shift.x
-                )
-                mapping[left] = (item.left, shifted)
-                mapping[right] = (item.right, shifted)
-                combined.append(
-                    CompactionBox(
-                        item.layer, item.box.translated(shift), left, right, item.tag
-                    )
-                )
+            )
+        )
+        scratch = ConstraintSystem()
+        combined = CompactionBoxes.declare(
+            scratch, boxes_a.layers + boxes_b.layers, shifted_arrays, prefix="i"
+        )
         visibility_constraints(scratch, combined, self.rules)
-        for constraint in scratch.constraints:
-            source, source_shifted = mapping[constraint.source]
-            target, target_shifted = mapping[constraint.target]
+        # Scratch variable k is edge k % 2 of combined box k // 2; the
+        # instance-1 variables start at 2 * len(boxes_a).
+        real = [
+            self.system.variables[index]
+            for table in (boxes_a, boxes_b)
+            for pair in zip(table.left.tolist(), table.right.tolist())
+            for index in pair
+        ]
+        first_shifted = 2 * len(boxes_a)
+        for source_index, target_index, weight, kind in zip(
+            scratch.sources, scratch.targets, scratch.weights, scratch.kinds
+        ):
+            source_shifted = source_index >= first_shifted
+            target_shifted = target_index >= first_shifted
             if source_shifted == target_shifted:
                 # Intra-instance constraint: already covered by add_cell.
                 continue
@@ -251,11 +256,11 @@ class LeafCellCompactor:
                 1 if target_shifted else 0
             )
             self.system.add(
-                source,
-                target,
-                constraint.weight,
+                real[source_index],
+                real[target_index],
+                weight,
                 pitch_terms=((pitch, coefficient),),
-                kind="inter:" + constraint.kind,
+                kind="inter:" + scratch.kind_names[kind],
             )
 
     # ------------------------------------------------------------------

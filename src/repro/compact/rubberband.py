@@ -15,6 +15,7 @@ is totally unimodular, so the LP optimum is integral.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,59 +23,78 @@ import numpy as np
 from ..core.errors import InfeasibleConstraintsError
 from ..geometry import batch
 from .constraints import ConstraintSystem, Variable
-from .scanline import CompactionBox
+from .scanline import CompactionBox, CompactionBoxes
 
-__all__ = ["alignment_pairs", "rubber_band_solve", "misalignment"]
+__all__ = ["AlignmentPairs", "alignment_pairs", "rubber_band_solve"]
 
 
-def alignment_pairs(
-    boxes: Sequence[CompactionBox],
-) -> List[Tuple[CompactionBox, CompactionBox]]:
+class AlignmentPairs(SequenceABC):
+    """Drawn-connected box pairs as two index columns.
+
+    ``first[k] < second[k]`` index the :class:`CompactionBoxes` table
+    ``boxes``; the pairs are ordered by ``(first, second)``.  As a
+    sequence it yields ``(boxes[i], boxes[j])`` object tuples, built
+    once on first access; ``len`` is the pair count and :meth:`jog`
+    sums the misalignment on the columns.
+    """
+
+    def __init__(self, boxes: CompactionBoxes, first, second) -> None:
+        self.boxes = boxes
+        self.first = first
+        self.second = second
+        self._pairs: Optional[List[Tuple[CompactionBox, CompactionBox]]] = None
+
+    def _objects(self) -> List[Tuple[CompactionBox, CompactionBox]]:
+        if self._pairs is None:
+            boxes = self.boxes
+            self._pairs = [
+                (boxes[i], boxes[j])
+                for i, j in zip(self.first.tolist(), self.second.tolist())
+            ]
+        return self._pairs
+
+    def jog(self, values) -> int:
+        """Total centre-to-centre misalignment over the pairs.
+
+        ``values`` is the solution as an array indexed like the
+        system's variables.  Doubled centres keep the sum on the integer
+        grid; it is zero for a jog-free solution of aligned pairs.
+        """
+        table = self.boxes
+        centre = values[table.left] + values[table.right]
+        drawn = table.arrays.xmin + table.arrays.xmax
+        first, second = self.first, self.second
+        offsets = (centre[first] - centre[second]) - (drawn[first] - drawn[second])
+        return int(np.abs(offsets).sum())
+
+    def __len__(self) -> int:
+        return int(self.first.size)
+
+    def __getitem__(self, index):
+        return self._objects()[index]
+
+    def __iter__(self):
+        return iter(self._objects())
+
+
+def alignment_pairs(boxes: CompactionBoxes) -> AlignmentPairs:
     """Pairs of drawn-connected boxes whose centres want to align.
 
     Every pair of same-layer boxes whose closed rectangles overlap
     (edge and corner contact included), as ``(boxes[i], boxes[j])``
     with ``i < j``, ordered by ``(i, j)``.  The pairs come from the
-    sorted-window join :func:`repro.geometry.batch.box_overlap_pairs`,
-    so the cost is ``O(n log n)`` plus the same-layer x-overlapping
-    candidates rather than all ``n²/2`` pairs.
+    sorted-window join :func:`repro.geometry.batch.box_overlap_pairs`
+    over the table's columns, so the cost is ``O(n log n)`` plus the
+    same-layer x-overlapping candidates rather than all ``n²/2`` pairs;
+    the pairs stay index columns until a caller asks for objects.
     """
-    codes: Dict[str, int] = {}
-    layers = np.fromiter(
-        (codes.setdefault(item.layer, len(codes)) for item in boxes),
-        dtype=np.int64,
-        count=len(boxes),
-    )
-    first, second = batch.box_overlap_pairs(
-        batch.boxes_to_arrays([item.box for item in boxes]), layers
-    )
-    return [
-        (boxes[i], boxes[j]) for i, j in zip(first.tolist(), second.tolist())
-    ]
-
-
-def misalignment(
-    pairs: Sequence[Tuple[CompactionBox, CompactionBox]],
-    solution: Dict[Variable, int],
-) -> int:
-    """Total centre-to-centre x misalignment over connected pairs.
-
-    Uses doubled centres to stay on the integer grid.  Zero for a
-    perfectly jog-free solution of aligned pairs.
-    """
-    total = 0
-    for a, b in pairs:
-        center_a = solution[a.left] + solution[a.right]
-        center_b = solution[b.left] + solution[b.right]
-        drawn_a = a.box.xmin + a.box.xmax
-        drawn_b = b.box.xmin + b.box.xmax
-        total += abs((center_a - center_b) - (drawn_a - drawn_b))
-    return total
+    first, second = batch.box_overlap_pairs(boxes.arrays, boxes.codes)
+    return AlignmentPairs(boxes, first, second)
 
 
 def rubber_band_solve(
     system: ConstraintSystem,
-    boxes: Sequence[CompactionBox],
+    boxes: CompactionBoxes,
     max_width: int,
     pairs: Optional[Sequence[Tuple[CompactionBox, CompactionBox]]] = None,
     solver: Optional[str] = None,
@@ -107,12 +127,12 @@ def rubber_band_solve(
     rows: List[np.ndarray] = []
     rhs: List[float] = []
     # Difference constraints: x[s] - x[t] <= -w.
-    for constraint in system.constraints:
+    for source, target, weight in zip(system.sources, system.targets, system.weights):
         row = np.zeros(num_vars)
-        row[index[constraint.source]] = 1.0
-        row[index[constraint.target]] = -1.0
+        row[source] = 1.0
+        row[target] = -1.0
         rows.append(row)
-        rhs.append(-float(constraint.weight))
+        rhs.append(-float(weight))
     # |d_k - drawn_k| <= t_k where d_k = (l_a + r_a) - (l_b + r_b).
     for k, (a, b) in enumerate(pairs):
         drawn = float((a.box.xmin + a.box.xmax) - (b.box.xmin + b.box.xmax))

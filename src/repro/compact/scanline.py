@@ -22,16 +22,18 @@ constraints for same-layer overlapping boxes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Box, IntervalFront, batch
 from ..obs import trace as obs_trace
-from .constraints import Constraint, ConstraintSystem
+from .constraints import ConstraintSystem
 from .rules import DesignRules, RuleTables
 
 __all__ = [
     "CompactionBox",
+    "CompactionBoxes",
     "build_edge_variables",
     "naive_constraints",
     "visibility_constraints",
@@ -54,51 +56,191 @@ class CompactionBox:
     tag: str = ""
 
 
+class CompactionBoxes(SequenceABC):
+    """The boxes of one compaction pass as columns, with their edge
+    variables.
+
+    ``layers`` holds each box's layer name, ``codes`` its index into the
+    sorted distinct ``layer_names``, ``arrays`` the coordinates (a
+    :class:`~repro.geometry.batch.BoxArray`, compaction axis = x) and
+    ``left``/``right`` the int64 indices of its edge variables in the
+    owning :class:`ConstraintSystem`; ``tags`` optionally names each
+    box's provenance for sizing directives.  The bulk generators read
+    the columns; the table is also a read-only sequence of
+    :class:`CompactionBox` objects, decoded once on first object access,
+    for the callers that want objects.
+    """
+
+    def __init__(
+        self,
+        layers: List[str],
+        arrays: "batch.BoxArray",
+        left,
+        right,
+        variables: List[str],
+        tags: Optional[Sequence[str]] = None,
+        transposed: bool = False,
+    ) -> None:
+        np = batch.require_numpy()
+        self.layers = layers
+        self.layer_names = sorted(set(layers))
+        code_of = {name: code for code, name in enumerate(self.layer_names)}
+        self.codes = np.fromiter(
+            map(code_of.__getitem__, layers), dtype=np.int64, count=len(layers)
+        )
+        self.arrays = arrays
+        self.left = left
+        self.right = right
+        self.variables = variables
+        self.tags = tags
+        #: drawn coordinates are (y, x): labels swap them back
+        self.transposed = transposed
+        self._items: Optional[List[CompactionBox]] = None
+
+    @classmethod
+    def declare(
+        cls,
+        system: ConstraintSystem,
+        layers: List[str],
+        arrays: "batch.BoxArray",
+        prefix: str = "e",
+        tags: Optional[Sequence[str]] = None,
+        transposed: bool = False,
+    ) -> "CompactionBoxes":
+        """Declare ``prefix<i>.l``/``prefix<i>.r`` for every box in bulk
+        (drawn abscissas as initial values) and return the table."""
+        np = batch.require_numpy()
+        count = len(layers)
+        stems = [f"{prefix}{index}" for index in range(count)]
+        names: List[str] = [""] * (2 * count)
+        names[0::2] = [stem + ".l" for stem in stems]
+        names[1::2] = [stem + ".r" for stem in stems]
+        initial = np.stack([arrays.xmin, arrays.xmax], axis=1).ravel()
+        first = system.add_variables(names, initial.tolist())
+        left = np.arange(first, first + 2 * count, 2, dtype=np.int64)
+        table = cls(layers, arrays, left, left + 1, system.variables, tags, transposed)
+        system.label_variables(first, first + 2 * count, table._edge_label)
+        return table
+
+    @property
+    def items(self) -> List[CompactionBox]:
+        """The boxes as :class:`CompactionBox` objects (built once)."""
+        if self._items is None:
+            arrays = self.arrays
+            boxes = batch.boxes_from_arrays(
+                arrays.xmin, arrays.ymin, arrays.xmax, arrays.ymax
+            )
+            names = self.variables
+            tags = self.tags or [""] * len(boxes)
+            self._items = [
+                CompactionBox(layer, box, names[left], names[right], tag)
+                for layer, box, left, right, tag in zip(
+                    self.layers, boxes, self.left.tolist(),
+                    self.right.tolist(), tags,
+                )
+            ]
+        return self._items
+
+    def _edge_label(self, offset: int) -> str:
+        """Diagnostic label of edge variable ``offset`` of this table."""
+        index, side = divmod(offset, 2)
+        a = self.arrays
+        coords = [int(column[index]) for column in (a.xmin, a.ymin, a.xmax, a.ymax)]
+        edge = ("left", "right")[side]
+        if self.transposed:
+            coords = [coords[1], coords[0], coords[3], coords[2]]
+            edge = ("bottom", "top")[side]
+        return f"{self.layers[index]} Box({', '.join(map(str, coords))}) {edge} edge"
+
+    def __len__(self) -> int:
+        return len(self.layers)
+
+    def __getitem__(self, index):
+        return self.items[index]
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __repr__(self) -> str:
+        return f"CompactionBoxes({len(self)} boxes, {len(self.layer_names)} layers)"
+
+
 def build_edge_variables(
     boxes: Sequence[Tuple[str, Box]],
     system: Optional[ConstraintSystem] = None,
     prefix: str = "e",
     tags: Optional[Sequence[str]] = None,
-) -> Tuple[ConstraintSystem, List[CompactionBox]]:
+) -> Tuple[ConstraintSystem, CompactionBoxes]:
     """Create left/right variables for each (layer, box) pair."""
     if system is None:
         system = ConstraintSystem()
-    result: List[CompactionBox] = []
-    for index, (layer, box) in enumerate(boxes):
-        left = system.add_variable(f"{prefix}{index}.l", initial=box.xmin)
-        right = system.add_variable(f"{prefix}{index}.r", initial=box.xmax)
-        tag = tags[index] if tags else ""
-        result.append(CompactionBox(layer, box, left, right, tag))
-    return system, result
+    layers = [layer for layer, _ in boxes]
+    drawn = [box for _, box in boxes]
+    table = CompactionBoxes.declare(
+        system, layers, batch.boxes_to_arrays(drawn), prefix, tags or None
+    )
+    return system, table
 
 
 def add_width_constraints(
     system: ConstraintSystem,
-    boxes: Sequence[CompactionBox],
+    boxes: CompactionBoxes,
     rules: DesignRules,
     mode: str = "preserve",
     sizing: Optional[Dict[Tuple[str, str], int]] = None,
-) -> None:
-    """Width constraints per box.
+) -> int:
+    """Width constraints per box, emitted as one column block.
 
     ``mode="preserve"`` pins each box to its drawn width; ``mode="min"``
     only enforces the rule minimum (widths collapse during technology
     transport).  ``sizing`` maps ``(tag, layer)`` to an explicit minimum
     width — the device/bus sizing mechanism of section 6.4.1 (tagged
-    cells whose instances the compactor must size).
+    cells whose instances the compactor must size).  Per box, in box
+    order: a pinned box gets the two ``equal`` rows ``l -> r`` (drawn
+    width) and ``r -> l`` (its negation), any other box one ``width``
+    row ``l -> r``.  Returns the number of rows added.
     """
-    sizing = sizing or {}
-    for item in boxes:
-        directive = sizing.get((item.tag, item.layer))
-        if mode == "preserve" and directive is None:
-            system.require_equal(item.left, item.right, item.box.width)
-            continue
-        minimum = rules.width(item.layer)
-        if directive is not None:
-            minimum = max(minimum, directive)
-        if mode == "preserve":
-            minimum = max(minimum, item.box.width)
-        system.add(item.left, item.right, minimum, kind="width")
+    np = batch.require_numpy()
+    count = len(boxes)
+    if count == 0:
+        return 0
+    tables = rules.tables(boxes.layer_names)
+    arrays = boxes.arrays
+    drawn = arrays.xmax - arrays.xmin
+    minimum = np.array(
+        [tables.width[name] for name in boxes.layer_names], dtype=np.int64
+    )[boxes.codes]
+    directed = np.zeros(count, dtype=bool)
+    if sizing:
+        tags = boxes.tags or [""] * count
+        directives = [sizing.get(key) for key in zip(tags, boxes.layers)]
+        directed = np.array([value is not None for value in directives], dtype=bool)
+        values = np.array(
+            [0 if value is None else value for value in directives], dtype=np.int64
+        )
+        minimum = np.where(directed, np.maximum(minimum, values), minimum)
+    if mode == "preserve":
+        equal = ~directed
+        minimum = np.maximum(minimum, drawn)
+    else:
+        equal = np.zeros(count, dtype=bool)
+    equal_code, width_code = system.kind_code("equal"), system.kind_code("width")
+    rows = 1 + equal.astype(np.int64)
+    starts = np.cumsum(rows) - rows
+    total = count + int(equal.sum())
+    sources = np.empty(total, dtype=np.int64)
+    targets = np.empty(total, dtype=np.int64)
+    weights = np.empty(total, dtype=np.int64)
+    kinds = np.empty(total, dtype=np.int64)
+    sources[starts], targets[starts] = boxes.left, boxes.right
+    weights[starts] = np.where(equal, drawn, minimum)
+    kinds[starts] = np.where(equal, equal_code, width_code)
+    second = starts[equal] + 1
+    sources[second], targets[second] = boxes.right[equal], boxes.left[equal]
+    weights[second] = -drawn[equal]
+    kinds[second] = equal_code
+    system.extend(sources, targets, weights, kinds)
+    return total
 
 
 def _y_overlap(a: Box, b: Box) -> bool:
@@ -123,7 +265,8 @@ def _add_connection(
     The x overlap must stay at least ``min(drawn overlap, rule width)``
     and the edge order of the pair is preserved, so connected chains
     stay chains.  ``tables`` short-circuits the width lookup when the
-    caller has memoized the rule set.
+    caller has memoized the rule set.  :func:`_add_connections` is the
+    column-block form the batch build emits.
     """
     width = tables.width[a.layer] if tables is not None else rules.width(a.layer)
     overlap = min(a.box.xmax, b.box.xmax) - max(a.box.xmin, b.box.xmin)
@@ -134,6 +277,30 @@ def _add_connection(
     system.add(left_box.right, right_box.right, 0, kind="connect")
     # overlap: right box's left edge at most (left box's right - keep)
     system.add(right_box.left, left_box.right, keep, kind="connect")
+
+
+def _add_connections(
+    system: ConstraintSystem, table: CompactionBoxes, a, b, widths
+) -> int:
+    """:func:`_add_connection` over the index pairs ``(a[k], b[k])`` as
+    one column block: the same three rows per pair, pair by pair.
+    ``widths`` is the rule width per layer code.  Returns the row count.
+    """
+    np = batch.require_numpy()
+    xmin, xmax = table.arrays.xmin, table.arrays.xmax
+    overlap = np.minimum(xmax[a], xmax[b]) - np.maximum(xmin[a], xmin[b])
+    keep = np.maximum(0, np.minimum(overlap, widths[table.codes[a]]))
+    a_left = xmin[a] <= xmin[b]
+    low, high = np.where(a_left, a, b), np.where(a_left, b, a)
+    low_l, low_r = table.left[low], table.right[low]
+    high_l, high_r = table.left[high], table.right[high]
+    system.extend(
+        np.stack([low_l, low_r, high_l], axis=1).ravel(),
+        np.stack([high_l, high_r, low_r], axis=1).ravel(),
+        np.stack([np.zeros_like(keep), np.zeros_like(keep), keep], axis=1).ravel(),
+        "connect",
+    )
+    return 3 * int(a.size)
 
 
 def naive_constraints(
@@ -216,7 +383,7 @@ def _gap_covered(
 
 def visibility_constraints(
     system: ConstraintSystem,
-    boxes: Sequence[CompactionBox],
+    boxes: CompactionBoxes,
     rules: DesignRules,
 ) -> int:
     """The correct vertical-scan method (Figure 6.7).
@@ -238,7 +405,7 @@ def visibility_constraints(
 
 def visibility_constraints_batch(
     system: ConstraintSystem,
-    boxes: Sequence[CompactionBox],
+    boxes: CompactionBoxes,
     rules: DesignRules,
 ) -> int:
     """Numpy batch build of the Figure 6.7 scan.
@@ -246,18 +413,15 @@ def visibility_constraints_batch(
     :func:`repro.geometry.batch.visible_pairs` computes every
     (visible, viewer) pair the sequential front would have produced in
     one offline segmented scan; pairs are then classified with masked
-    column arithmetic and the spacing rows are emitted as one bulk
-    ``Constraint`` batch.  Connection pairs (a handful per layout) fall
-    back to :func:`_add_connection` so the overlap arithmetic lives in
-    exactly one place.  Emits the exact constraint multiset of
-    :func:`visibility_constraints_python`.
+    column arithmetic and emitted as two column blocks: the connection
+    rows (:func:`_add_connections`, three per connected pair, in pair
+    order), then the spacing rows.  Emits the exact constraint multiset
+    of :func:`visibility_constraints_python`.
     """
     np = batch.require_numpy()
-    items = list(boxes)
-    count = len(items)
-    if count < 2:
+    if len(boxes) < 2:
         return 0
-    layer_names = sorted({item.layer for item in items})
+    layer_names = boxes.layer_names
     tables = rules.tables(layer_names)
     code_of = {name: index for index, name in enumerate(layer_names)}
     depth = len(layer_names)
@@ -266,10 +430,7 @@ def visibility_constraints_batch(
         if value is not None:
             spacing_matrix[code_of[name_a], code_of[name_b]] = value
     allowed = spacing_matrix >= 0
-    arrays = batch.boxes_to_arrays([item.box for item in items])
-    codes = np.fromiter(
-        (code_of[item.layer] for item in items), dtype=np.int64, count=count
-    )
+    arrays, codes = boxes.arrays, boxes.codes
     visible, viewer = batch.visible_pairs(arrays, codes, allowed)
     if visible.size == 0:
         return 0
@@ -281,21 +442,16 @@ def visibility_constraints_batch(
     connected = (codes[visible] == codes[viewer]) & (a_xmax >= b_xmin)
     weights = spacing_matrix[codes[visible], codes[viewer]]
     spaced = ~connected & (weights >= 0) & (a_xmax < b_xmin)
-    for a_index, b_index in zip(
-        visible[connected].tolist(), viewer[connected].tolist()
-    ):
-        _add_connection(system, items[a_index], items[b_index], rules, tables)
-    spaced_indices = np.flatnonzero(spaced)
-    if spaced_indices.size:
-        sources = [items[i].right for i in visible[spaced_indices].tolist()]
-        targets = [items[i].left for i in viewer[spaced_indices].tolist()]
-        system.constraints.extend(
-            Constraint(source, target, weight, (), "spacing")
-            for source, target, weight in zip(
-                sources, targets, weights[spaced_indices].tolist()
-            )
-        )
-    return int(spaced_indices.size)
+    if connected.any():
+        widths = np.array([tables.width[name] for name in layer_names], dtype=np.int64)
+        _add_connections(system, boxes, visible[connected], viewer[connected], widths)
+    system.extend(
+        boxes.right[visible[spaced]],
+        boxes.left[viewer[spaced]],
+        weights[spaced],
+        "spacing",
+    )
+    return int(np.count_nonzero(spaced))
 
 
 def visibility_constraints_python(

@@ -37,6 +37,8 @@ __all__ = [
     "SolveStats",
     "SolverBackend",
     "resolve_weights",
+    "seed_values",
+    "positive_cycle_error",
     "register_solver",
     "get_solver",
     "available_solvers",
@@ -140,38 +142,125 @@ def resolve_weights(
 ) -> List[int]:
     """Effective integer weight of each constraint at fixed pitches.
 
-    Substitutes ``pitches`` into every pitch term, in constraint order.
-    Raises :class:`InfeasibleConstraintsError` when a pitch variable has
-    no value — symbolic pitches need the leaf-cell LP, not a
-    longest-path backend.
+    A copy of the weight column with ``pitches`` substituted into every
+    pitch term, in row order.  Raises :class:`InfeasibleConstraintsError`
+    when a pitch variable has no value — symbolic pitches need the
+    leaf-cell LP, not a longest-path backend.
     """
+    weights = list(system.weights)
+    if not system.pitch_terms:
+        return weights
     pitches = pitches or {}
-    weights: List[int] = []
-    for constraint in system.constraints:
-        bound = constraint.weight
-        for pitch, coefficient in constraint.pitch_terms:
+    for row, terms in system.pitch_terms.items():
+        for pitch, coefficient in terms:
             if pitch not in pitches:
                 raise InfeasibleConstraintsError(
                     f"pitch variable {pitch!r} has no value; use the"
                     " leaf-cell LP solver for symbolic pitches"
                 )
-            bound += coefficient * pitches[pitch]
-        weights.append(bound)
+            weights[row] += coefficient * pitches[pitch]
     return weights
 
 
-def seed_solution(
+def seed_values(
     system: ConstraintSystem,
     lower_bound: int,
     hint: Optional[Dict[Variable, int]],
-) -> Dict[Variable, int]:
-    """Initial variable assignment: ``max(hint, lower_bound)`` per variable."""
+) -> List[int]:
+    """Initial value per variable index: ``max(hint, lower_bound)``."""
     if not hint:
-        return {name: lower_bound for name in system.variables}
-    return {
-        name: max(hint.get(name, lower_bound), lower_bound)
+        return [lower_bound] * len(system.variables)
+    return [
+        max(hint.get(name, lower_bound), lower_bound)
         for name in system.variables
-    }
+    ]
+
+
+#: how many cycle constraints a positive-cycle message spells out
+CYCLE_SHOWN = 6
+
+
+def positive_cycle_error(
+    system: ConstraintSystem, weights: List[int], seed: List[int]
+) -> InfeasibleConstraintsError:
+    """The error for an overconstrained system, naming one positive cycle.
+
+    Failure path only: reruns the relaxation from ``seed`` recording the
+    row that last raised each variable.  While that predecessor graph
+    is acyclic the values stay bounded, so relaxing a system with a
+    positive cycle must close a cycle in it, and every cycle of that
+    graph has positive total weight (each row on it was tight when
+    recorded, and the values only grew since).  The message
+    names the cycle's rows — variables with their labels, kind and
+    weight — up to :data:`CYCLE_SHOWN` of them, and the total weight.
+    """
+    cycle = _find_positive_cycle(system, weights, seed)
+    message = "positive cycle: the constraint system is overconstrained"
+    if not cycle:
+        return InfeasibleConstraintsError(message)
+    total = sum(weights[row] for row in cycle)
+    parts = [
+        f"{system.describe(system.sources[row])} ->"
+        f" {system.describe(system.targets[row])}"
+        f" ({system.kind_names[system.kinds[row]] or 'constraint'} {weights[row]:+d})"
+        for row in cycle[:CYCLE_SHOWN]
+    ]
+    if len(cycle) > CYCLE_SHOWN:
+        parts.append(f"... {len(cycle) - CYCLE_SHOWN} more")
+    return InfeasibleConstraintsError(
+        f"{message}: {len(cycle)} constraints around a cycle of total"
+        f" weight {total:+d}: " + "; ".join(parts),
+        cycle=[system.constraint(row) for row in cycle],
+    )
+
+
+def _find_positive_cycle(
+    system: ConstraintSystem, weights: List[int], seed: List[int]
+) -> List[int]:
+    """Rows of one predecessor-graph cycle, in cycle order ([] if none)."""
+    n = len(seed)
+    sources, targets = system.sources, system.targets
+    edges = list(zip(range(len(weights)), sources, targets, weights))
+    x = list(seed)
+    last_row = [-1] * n
+    # Values stay bounded while the predecessor graph is acyclic, and a
+    # positive cycle keeps them growing, so a cycle must close; the cap
+    # only guards against a caller handing in a feasible system.
+    for passes in range(1, 4 * (n + 1) + 1):
+        changed = False
+        for row, source, target, weight in edges:
+            candidate = x[source] + weight
+            if candidate > x[target]:
+                x[target] = candidate
+                last_row[target] = row
+                changed = True
+        if not changed:
+            return []
+        if passes > n:
+            cycle = _predecessor_cycle(last_row, sources)
+            if cycle:
+                return cycle
+    return []
+
+
+def _predecessor_cycle(last_row: List[int], sources: List[int]) -> List[int]:
+    """A cycle of the graph ``v -> sources[last_row[v]]``, as rows in
+    forward (source-to-target) order."""
+    state = [0] * len(last_row)  # 0 unseen, 1 on the current walk, 2 done
+    for start in range(len(last_row)):
+        walk = []
+        v = start
+        while v >= 0 and state[v] == 0:
+            state[v] = 1
+            walk.append(v)
+            row = last_row[v]
+            v = sources[row] if row >= 0 else -1
+        if v >= 0 and state[v] == 1:
+            members = walk[walk.index(v):]
+            return [last_row[u] for u in reversed(members)]
+        for u in walk:
+            state[u] = 2
+    return []
 
 
 # ----------------------------------------------------------------------

@@ -9,15 +9,29 @@ pass suffices and a second pass confirms the fixpoint.  More than
 
 This is the reference backend: every other backend must reproduce its
 solutions exactly.
+
+The relaxation runs over the system's integer columns: the source,
+target and weight lists, stably sorted (one numpy ``argsort``) on the
+source variable's drawn abscissa, with the values in a list indexed by
+variable — no per-edge objects and no dict traffic in the loop.  The
+order contract is the object loop's: the same stable sort key, the same
+pass and relaxation counts, the same ``|V| + 1`` pass bound.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ...core.errors import InfeasibleConstraintsError
+import numpy as np
+
 from ..constraints import ConstraintSystem, Variable
-from .base import SolveStats, register_solver, resolve_weights, seed_solution
+from .base import (
+    SolveStats,
+    positive_cycle_error,
+    register_solver,
+    resolve_weights,
+    seed_values,
+)
 
 __all__ = ["BellmanFordSolver"]
 
@@ -37,32 +51,41 @@ class BellmanFordSolver:
     ) -> SolveStats:
         """Least solution by repeated relaxation passes."""
         weights = resolve_weights(system, pitches)
-        constraints = list(zip(system.constraints, weights))
-        if sort_edges:
-            constraints.sort(key=lambda pair: system.initial.get(pair[0].source, 0))
+        sources, targets, ordered = system.sources, system.targets, weights
+        if sort_edges and sources:
+            sources = np.array(sources, dtype=np.int64)
+            order = np.argsort(
+                np.array(system.initial, dtype=np.int64)[sources], kind="stable"
+            )
+            sources = sources[order].tolist()
+            targets = np.array(targets, dtype=np.int64)[order].tolist()
+            ordered = np.array(weights, dtype=np.int64)[order].tolist()
 
-        x = seed_solution(system, lower_bound, hint)
-        stats = SolveStats(
-            sorted_edges=sort_edges, backend=self.name, lower_bound=lower_bound
-        )
+        seed = seed_values(system, lower_bound, hint)
+        x = list(seed)
         limit = len(system.variables) + 1
+        passes = 0
+        relaxations = 0
         while True:
-            changed = False
-            stats.passes += 1
-            for constraint, bound in constraints:
-                candidate = x[constraint.source] + bound
-                if candidate > x[constraint.target]:
-                    x[constraint.target] = candidate
-                    stats.relaxations += 1
-                    changed = True
-            if not changed:
+            passes += 1
+            before = relaxations
+            for source, target, weight in zip(sources, targets, ordered):
+                candidate = x[source] + weight
+                if candidate > x[target]:
+                    x[target] = candidate
+                    relaxations += 1
+            if relaxations == before:
                 break
-            if stats.passes > limit:
-                raise InfeasibleConstraintsError(
-                    "positive cycle: the constraint system is overconstrained"
-                )
-        stats.solution = x
-        return stats
+            if passes > limit:
+                raise positive_cycle_error(system, weights, seed)
+        return SolveStats(
+            passes=passes,
+            relaxations=relaxations,
+            sorted_edges=sort_edges,
+            solution=dict(zip(system.variables, x)),
+            backend=self.name,
+            lower_bound=lower_bound,
+        )
 
 
 register_solver(BellmanFordSolver.name, BellmanFordSolver)

@@ -29,7 +29,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ...core.errors import InfeasibleConstraintsError
 from ..constraints import ConstraintSystem, Variable
-from .base import SolveStats, register_solver, resolve_weights, seed_solution
+from .base import (
+    SolveStats,
+    positive_cycle_error,
+    register_solver,
+    resolve_weights,
+    seed_values,
+)
 
 __all__ = ["IncrementalSolver"]
 
@@ -61,9 +67,8 @@ class IncrementalSolver:
         """Least solution, reusing the cached previous run when valid."""
         names = system.variables
         n = len(names)
-        index = {name: position for position, name in enumerate(names)}
         weights = resolve_weights(system, pitches)
-        self._ensure_adjacency(system, index, weights)
+        self._ensure_adjacency(system)
 
         cached = (
             hint is None
@@ -81,17 +86,14 @@ class IncrementalSolver:
         else:
             changed = list(range(len(weights)))
 
-        constraints = system.constraints
-        affected = self._cone(
-            n, [index[constraints[i].target] for i in changed]
-        )
+        targets = system.targets
+        affected = self._cone(n, [targets[i] for i in changed])
         if cached:
             base = list(self._values)
             for v in affected:
                 base[v] = lower_bound
         else:
-            seeds = seed_solution(system, lower_bound, hint)
-            base = [seeds[name] for name in names]
+            base = seed_values(system, lower_bound, hint)
 
         stats = SolveStats(
             sorted_edges=sort_edges, backend=self.name, lower_bound=lower_bound
@@ -99,7 +101,12 @@ class IncrementalSolver:
         stats.reused = n - len(affected)
         x = list(base)
         if affected:
-            self._relax(system, index, weights, x, base, affected, sort_edges, stats)
+            try:
+                self._relax(system, weights, x, base, affected, sort_edges, stats)
+            except InfeasibleConstraintsError:
+                raise positive_cycle_error(
+                    system, weights, seed_values(system, lower_bound, hint)
+                ) from None
 
         stats.solution = dict(zip(names, x))
         if hint is None:
@@ -112,18 +119,13 @@ class IncrementalSolver:
         return stats
 
     # ------------------------------------------------------------------
-    def _ensure_adjacency(
-        self,
-        system: ConstraintSystem,
-        index: Dict[Variable, int],
-        weights: List[int],
-    ) -> None:
+    def _ensure_adjacency(self, system: ConstraintSystem) -> None:
         """(Re)build adjacency and drop the cache when the system changed shape."""
         n = len(system.variables)
         fresh = (
             self._system is not system
             or self._variable_count != n
-            or self._constraint_count != len(system.constraints)
+            or self._constraint_count != len(system)
         )
         if not fresh:
             return
@@ -133,14 +135,14 @@ class IncrementalSolver:
         self._values = None
         forward: List[List[int]] = [[] for _ in range(n)]
         incoming: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for position, constraint in enumerate(system.constraints):
-            source = index[constraint.source]
-            target = index[constraint.target]
+        for position, (source, target) in enumerate(
+            zip(system.sources, system.targets)
+        ):
             forward[source].append(target)
             incoming[target].append((source, position))
         self._system = system
         self._variable_count = n
-        self._constraint_count = len(system.constraints)
+        self._constraint_count = len(system)
         self._forward = forward
         self._incoming = incoming
 
@@ -166,7 +168,6 @@ class IncrementalSolver:
     def _relax(
         self,
         system: ConstraintSystem,
-        index: Dict[Variable, int],
         weights: List[int],
         x: List[int],
         base: List[int],
@@ -175,7 +176,6 @@ class IncrementalSolver:
         stats: SolveStats,
     ) -> None:
         """Gauss-Seidel over the affected cone's incoming constraints."""
-        names = system.variables
         incoming = self._incoming
         forward = self._forward
         in_cone = [False] * len(x)
@@ -186,7 +186,7 @@ class IncrementalSolver:
             if previous is not None and len(previous) == len(x):
                 order_key = previous
             else:
-                order_key = [system.initial.get(name, 0) for name in names]
+                order_key = system.initial
             ordered = sorted(affected, key=lambda v: order_key[v])
         else:
             ordered = list(affected)

@@ -23,7 +23,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ...core.errors import InfeasibleConstraintsError
 from ..constraints import ConstraintSystem, Variable
-from .base import SolveStats, register_solver, resolve_weights, seed_solution
+from .base import (
+    SolveStats,
+    positive_cycle_error,
+    register_solver,
+    resolve_weights,
+    seed_values,
+)
 
 __all__ = ["TopologicalSolver"]
 
@@ -48,19 +54,15 @@ class TopologicalSolver:
         """
         names = system.variables
         n = len(names)
-        index = {name: position for position, name in enumerate(names)}
         weights = resolve_weights(system, pitches)
 
         adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         indegree = [0] * n
-        for constraint, weight in zip(system.constraints, weights):
-            source = index[constraint.source]
-            target = index[constraint.target]
+        for source, target, weight in zip(system.sources, system.targets, weights):
             adjacency[source].append((target, weight))
             indegree[target] += 1
 
-        seeds = seed_solution(system, lower_bound, hint)
-        seed = [seeds[name] for name in names]
+        seed = seed_values(system, lower_bound, hint)
 
         stats = SolveStats(
             sorted_edges=False, backend=self.name, lower_bound=lower_bound
@@ -93,9 +95,12 @@ class TopologicalSolver:
             return stats
 
         # Cyclic system: exact sweep over the condensation.
-        x, passes, relaxations = self._solve_condensation(
-            n, adjacency, seed
-        )
+        try:
+            x, passes, relaxations = self._solve_condensation(
+                n, adjacency, seed
+            )
+        except InfeasibleConstraintsError:
+            raise positive_cycle_error(system, weights, seed) from None
         stats.backend = f"{self.name}+scc"
         stats.passes = passes
         stats.relaxations = relaxations

@@ -87,7 +87,15 @@ class CompactionError(RsgError):
 
 
 class InfeasibleConstraintsError(CompactionError):
-    """The constraint system admits no solution (positive cycle / LP infeasible)."""
+    """The constraint system admits no solution (positive cycle / LP infeasible).
+
+    ``cycle`` holds the constraints of the positive cycle a longest-path
+    solver found, in cycle order (empty when there is none to show).
+    """
+
+    def __init__(self, message: str = "", cycle=()) -> None:
+        super().__init__(message)
+        self.cycle = tuple(cycle)
 
 
 class SolverConfigurationError(CompactionError):

@@ -41,6 +41,7 @@ __all__ = [
     "KernelUnavailableError",
     "NUMPY_FLOOR",
     "kernel_name",
+    "kernel_label",
     "use_numpy",
     "require_numpy",
     "BoxArray",
@@ -121,6 +122,15 @@ def kernel_name() -> str:
     )
 
 
+def kernel_label() -> str:
+    """:func:`kernel_name` for telemetry attributes: ``"unknown"``
+    instead of an error when the switch is misconfigured."""
+    try:
+        return kernel_name()
+    except KernelUnavailableError:
+        return "unknown"
+
+
 def use_numpy() -> bool:
     """Whether the batch (numpy) kernel is selected for this process."""
     return kernel_name() == "numpy"
@@ -179,7 +189,11 @@ def boxes_to_arrays(boxes: Sequence[Box]) -> BoxArray:
 
 
 _box_new = Box.__new__
-_box_set = object.__setattr__
+#: the slot descriptors' setters: they store without the name lookup
+#: of ``object.__setattr__`` and bypass ``Box.__setattr__``'s guard
+_set_xmin, _set_ymin, _set_xmax, _set_ymax = (
+    getattr(Box, name).__set__ for name in ("xmin", "ymin", "xmax", "ymax")
+)
 
 
 def boxes_from_arrays(xmin, ymin, xmax, ymax) -> List[Box]:
@@ -187,21 +201,22 @@ def boxes_from_arrays(xmin, ymin, xmax, ymax) -> List[Box]:
 
     The columns must already be normalised (``xmin <= xmax``,
     ``ymin <= ymax``) — true for everything the kernel produces — so the
-    constructor's normalisation pass is skipped; the loop body inlines
-    the attribute stores to keep the per-box cost to one allocation
-    plus four slot writes.
+    constructor's normalisation pass is skipped; the loop body writes
+    the four slots directly to keep the per-box cost to one allocation
+    plus four slot stores.
     """
-    new, store = _box_new, _box_set
+    new = _box_new
+    set_xmin, set_ymin, set_xmax, set_ymax = _set_xmin, _set_ymin, _set_xmax, _set_ymax
     result: List[Box] = []
     append = result.append
     for x0, y0, x1, y1 in zip(
         xmin.tolist(), ymin.tolist(), xmax.tolist(), ymax.tolist()
     ):
         box = new(Box)
-        store(box, "xmin", x0)
-        store(box, "ymin", y0)
-        store(box, "xmax", x1)
-        store(box, "ymax", y1)
+        set_xmin(box, x0)
+        set_ymin(box, y0)
+        set_xmax(box, x1)
+        set_ymax(box, y1)
         append(box)
     return result
 

@@ -10,10 +10,15 @@ section 6.4.1), bounding boxes and utilisation statistics.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..core.cell import CellDefinition, Label, LayerBox, Port
 from ..geometry import Box, Transform, batch, slab_decompose
+
+_XMIN, _YMIN, _XMAX, _YMAX = (
+    attrgetter(name) for name in ("xmin", "ymin", "xmax", "ymax")
+)
 
 __all__ = [
     "FlatLayout",
@@ -135,11 +140,16 @@ class FlatLayout:
         return sum(len(boxes) for boxes in self.layers.values())
 
     def bounding_box(self) -> Optional[Box]:
-        result: Optional[Box] = None
-        for boxes in self.layers.values():
-            for box in boxes:
-                result = box if result is None else result.union(box)
-        return result
+        """The union of every box, or None for an empty layout."""
+        boxes = [box for layer_boxes in self.layers.values() for box in layer_boxes]
+        if not boxes:
+            return None
+        return Box(
+            min(map(_XMIN, boxes)),
+            min(map(_YMIN, boxes)),
+            max(map(_XMAX, boxes)),
+            max(map(_YMAX, boxes)),
+        )
 
     def merged(self) -> "FlatLayout":
         """Return a copy with per-layer boxes merged into maximal strips."""

@@ -41,6 +41,7 @@ from ..compact.solvers import DEFAULT_SOLVER, available_solvers
 from ..core.cell import CellDefinition
 from ..core.errors import RsgError, ServiceError, VerificationError
 from ..core.operators import Rsg
+from ..geometry.batch import kernel_label
 from ..lang.environment import Alias
 from ..lang.interpreter import Interpreter
 from ..lang.param_file import parse_parameters
@@ -303,16 +304,6 @@ class JobResult:
         return cls(**{key: value for key, value in payload.items() if key in known})
 
 
-def _kernel_label() -> str:
-    """The active geometry-kernel name, or ``"unknown"`` when misconfigured."""
-    from ..geometry.batch import kernel_name
-
-    try:
-        return kernel_name()
-    except Exception:  # noqa: BLE001 — telemetry must never fail a job
-        return "unknown"
-
-
 def execute_job(spec: JobSpec, cache: Optional[CompactionCache] = None) -> JobResult:
     """Run the full pipeline for ``spec`` and return its result.
 
@@ -361,7 +352,7 @@ def _execute_traced(spec: JobSpec, cache: Optional[CompactionCache]) -> JobResul
 
     rules = _TECHS[spec.tech.upper()]
     if spec.compact:
-        with obs_trace.span("job.compact", kernel=_kernel_label()) as stage:
+        with obs_trace.span("job.compact", kernel=kernel_label()) as stage:
             cell = _compact_stage(spec, cell, rules, cache, result)
         result.timings["compact"] = stage.duration_s
 
@@ -378,7 +369,7 @@ def _execute_traced(spec: JobSpec, cache: Optional[CompactionCache]) -> JobResul
         result.timings["route"] = stage.duration_s
 
     if spec.verify:
-        with obs_trace.span("job.verify", kernel=_kernel_label()) as stage:
+        with obs_trace.span("job.verify", kernel=kernel_label()) as stage:
             _verify_stage(spec, cell, plan, rules, cache, result)
         result.timings["verify"] = stage.duration_s
 

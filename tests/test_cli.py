@@ -784,3 +784,53 @@ def test_entry_points_do_not_import_scipy():
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+class TestCompactSubStageSpans:
+    """``compact.constraints`` / ``solver.solve`` / ``compact.alignment``
+    / ``compact.rebuild`` open under each flat pass and carry its
+    counts; ``job.compact`` names the geometry kernel; the
+    ``--timings`` stage set does not change."""
+
+    def test_xy_flow_under_trace_env(self, flow_files, monkeypatch):
+        from repro.obs import trace as obs_trace
+
+        parameter, _ = flow_files
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        tracers = []
+
+        class Recording(obs_trace.Tracer):
+            """The tracer the CLI activates, kept for inspection."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tracers.append(self)
+
+        monkeypatch.setattr(obs_trace, "Tracer", Recording)
+        assert main([str(parameter), "--compact", "xy"]) == 0
+        (tracer,) = tracers
+        spans = tracer.finished()
+        (stage,) = [s for s in spans if s.name == "job.compact"]
+        from repro.geometry.batch import kernel_name
+
+        assert stage.attributes["kernel"] == kernel_name()
+        below = [s for s in spans if s.parent_id == stage.span_id]
+        names = ["compact.constraints", "solver.solve", "compact.alignment", "compact.rebuild"]
+        assert [s.name for s in below] == names * 2
+        for axis, passes in zip("xy", (below[:4], below[4:])):
+            constraints, solve, alignment, rebuild = passes
+            assert {s.attributes["axis"] for s in passes} == {axis}
+            counts = constraints.attributes
+            assert counts["variables"] == solve.attributes["variables"]
+            assert counts["variables"] == 2 * rebuild.attributes["boxes"]
+            assert min(counts["width"], counts["connect"], counts["spacing"]) > 0
+            assert alignment.attributes["pairs"] > 0
+
+    def test_timings_stage_set_unchanged(self, flow_files, monkeypatch):
+        parameter, _ = flow_files
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        timings = {}
+        run_flow(str(parameter), output_stream=None, compact_axes="xy",
+                 timings=timings)
+        assert list(timings) == ["generate", "compact", "emit"]
+

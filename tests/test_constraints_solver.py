@@ -117,6 +117,43 @@ class TestConstraintSystem:
         system.add("a", "b", 2, pitch_terms=(("lam", -1),))
         assert system.has_pitch_terms()
 
+    def test_extend_appends_the_rows_add_would(self):
+        by_name = ConstraintSystem()
+        by_index = ConstraintSystem()
+        for system in (by_name, by_index):
+            system.add_variables(["a", "b", "c"], [0, 4, 9])
+        by_name.add("a", "b", 2, kind="spacing")
+        by_name.add("b", "c", 3, kind="spacing")
+        by_name.add("c", "a", -7, kind="width")
+        by_index.extend([0, 1], [1, 2], [2, 3], "spacing")
+        by_index.extend([2], [0], [-7], [by_index.kind_code("width")])
+        assert by_index.constraints == by_name.constraints
+        assert by_index.initial == [0, 4, 9]
+        assert solve_longest_path(by_index).solution == solve_longest_path(by_name).solution
+
+    def test_extend_rejects_undeclared_indices_and_ragged_columns(self):
+        system = ConstraintSystem()
+        system.add_variables(["a", "b"], [0, 0])
+        with pytest.raises(KeyError):
+            system.extend([0], [2], [1])
+        with pytest.raises(KeyError):
+            system.extend([-1], [1], [1])
+        with pytest.raises(ValueError):
+            system.extend([0, 1], [1], [1, 1])
+        with pytest.raises(ValueError):
+            system.extend([0], [1], [1], [99])
+        assert len(system) == 0
+
+    def test_bulk_variables_must_be_fresh_and_distinct(self):
+        system = ConstraintSystem()
+        system.add_variable("a")
+        for names in (["b", "b"], ["b", "a"]):
+            with pytest.raises(ValueError):
+                system.add_variables(names, [0, 0])
+        assert system.variables == ["a"] and system.index_of("a") == 0
+        assert system.add_variables(["b", "c"], [1, 2]) == 1
+        assert system.index_of("c") == 2
+
 
 class TestSolver:
     def test_minimal_solution(self):
@@ -223,6 +260,45 @@ class TestBackendEquivalence:
         system.add("b", "a", -3)
         with pytest.raises(InfeasibleConstraintsError):
             get_solver(backend).solve(system)
+
+    @pytest.mark.parametrize("backend", available_solvers())
+    def test_positive_cycle_named(self, backend):
+        system = ConstraintSystem()
+        for name in "abcd":
+            system.add_variable(name)
+        system.add("a", "b", 4, kind="spacing")
+        system.add("b", "c", 1, kind="width")
+        system.add("c", "a", -3, kind="connect")
+        system.add("c", "d", 9)
+        with pytest.raises(InfeasibleConstraintsError) as error:
+            get_solver(backend).solve(system)
+        cycle = error.value.cycle
+        assert sorted((c.source, c.target) for c in cycle) == [
+            ("a", "b"), ("b", "c"), ("c", "a"),
+        ]
+        # In cycle order: each row starts where the previous one ended.
+        for before, after in zip(cycle, cycle[1:] + cycle[:1]):
+            assert before.target == after.source
+        assert sum(c.weight for c in cycle) == 2
+        assert all(c in system.constraints for c in cycle)
+        message = str(error.value)
+        assert "3 constraints around a cycle of total weight +2" in message
+        assert "a -> b (spacing +4)" in message and "c -> a (connect -3)" in message
+
+    def test_positive_cycle_names_labels_and_caps_length(self):
+        system = ConstraintSystem()
+        for index in range(12):
+            system.add_variable(f"v{index}")
+        system.label_variables(0, 12, lambda offset: f"edge {offset}")
+        for index in range(12):
+            system.add(f"v{index}", f"v{(index + 1) % 12}", 1)
+        with pytest.raises(InfeasibleConstraintsError) as error:
+            system.solve()
+        message = str(error.value)
+        assert len(error.value.cycle) == 12
+        assert "total weight +12" in message
+        assert "v0 [edge 0]" in message or "v1 [edge 1]" in message
+        assert "... 6 more" in message
 
     @pytest.mark.parametrize("backend", available_solvers())
     def test_positive_self_loop_detected(self, backend):

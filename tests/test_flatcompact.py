@@ -172,3 +172,44 @@ class TestCompactGeneratedCells:
             for layer_box in compacted.boxes:
                 flat_layers[layer_box.layer].append(layer_box.box)
             assert check_layout(flat_layers, rules) == []
+
+
+class TestOverconstrainedDiagnosis:
+    """Tech B x-then-y min-width compaction of a 3-term PLA closes a
+    positive cycle; the error names it instead of saying only
+    "overconstrained"."""
+
+    TABLE = "10-1 | 10\n0-11 | 01\n1100 | 11"
+
+    def test_error_names_the_cycle(self, monkeypatch):
+        from repro.cli import exit_code_for
+        from repro.compact import flat
+        from repro.core.errors import InfeasibleConstraintsError
+        from repro.pla import TruthTable, generate_pla
+
+        cell = generate_pla(TruthTable.parse(self.TABLE))
+        cell, _ = compact_cell(cell, TECH_B, axis="x", width_mode="min")
+        systems = []
+        solve = flat.solve_longest_path
+
+        def capture(system, **options):
+            systems.append(system)
+            return solve(system, **options)
+
+        monkeypatch.setattr(flat, "solve_longest_path", capture)
+        with pytest.raises(InfeasibleConstraintsError) as error:
+            compact_cell(cell, TECH_B, axis="y", width_mode="min")
+        (system,) = systems
+        cycle = error.value.cycle
+        assert cycle and sum(c.weight for c in cycle) > 0
+        rows = set(system.constraints)
+        assert all(c in rows for c in cycle)
+        message = str(error.value)
+        assert message.startswith("positive cycle: the constraint system is overconstrained")
+        assert f"{len(cycle)} constraints around a cycle of total weight +" in message
+        # Each edge is named with its layer and drawn box (y pass: the
+        # bottom/top edges of boxes in drawn coordinates).
+        for constraint in cycle:
+            assert constraint.source in message and constraint.kind in message
+        assert "Box(" in message and ("bottom edge" in message or "top edge" in message)
+        assert exit_code_for(error.value) == 1
